@@ -1,21 +1,20 @@
 /**
  * @file
- * micro_index_load — index-serving startup cost: legacy v1 stream-load
- * vs v2 mmap-open on the fig11-scale reference.
+ * micro_index_load — index-serving startup cost: the v2 image's
+ * mmap-open, with and without the payload checksum sweep, on the
+ * fig11-scale reference.
  *
  * The paper's offline stage amortizes SeedMap construction across read
  * sets (§4.2); what it cannot amortize is what every gpx_map start pays
- * to *open* the image. v1 re-deserializes both tables through a full
- * stream copy — time and private RSS proportional to the index. The v2
- * image is validated in place and served from file-backed pages, so
- * open time is directory validation (plus an optional checksum sweep)
- * and the resident cost is demand-paged and kernel-shared across the
- * worker pool.
+ * to *open* the image. The image is validated in place and served from
+ * file-backed pages, so open time is directory validation (plus an
+ * optional checksum sweep) and the resident cost is demand-paged and
+ * kernel-shared across the worker pool.
  *
  * Open latencies are min/median of repeated in-process runs. Memory is
  * measured in a forked child per variant (VmRSS delta across the open,
  * then again after a full table sweep that faults every page), so
- * allocator reuse in this process cannot mask the copy cost.
+ * pages this process already touched cannot mask the cost.
  *
  * `--json PATH` records the result machine-readably (see
  * BENCH_index_load.json at the repo root).
@@ -26,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -79,10 +77,9 @@ sweepView(const genpair::SeedMapView &view)
     return sum;
 }
 
-/** One opened index, whatever the backend, plus its query view. */
+/** One opened image plus its query view. */
 struct OpenedIndex
 {
-    std::unique_ptr<genpair::SeedMap> owned;
     std::optional<genpair::SeedMapImage> image;
     genpair::SeedMapView view;
 };
@@ -186,7 +183,7 @@ main(int argc, char **argv)
         }
     }
 
-    banner("Index image open: v1 stream-load vs v2 mmap",
+    banner("Index image open: v2 mmap, verified vs unverified",
            "ROADMAP zero-copy serving (SeedMap image format v2)");
 
     // The fig11 reference: same genome profile the end-to-end bench maps.
@@ -203,37 +200,19 @@ main(int argc, char **argv)
                 map.seedTableBytes() / 1048576.0,
                 map.locationTableBytes() / 1048576.0);
 
-    // Persist both generations next to each other.
-    const std::string v1Path = "/tmp/gpx_index_load_v1.gpx";
     const std::string v2Path = "/tmp/gpx_index_load_v2.gpx";
+    u64 v2Bytes = 0;
     {
-        std::ofstream v1(v1Path, std::ios::binary | std::ios::trunc);
-        genpair::saveSeedMap(v1, map);
         std::ofstream v2(v2Path, std::ios::binary | std::ios::trunc);
         genpair::saveSeedMapV2(v2, map, 8);
-        if (!v1.good() || !v2.good()) {
-            std::fprintf(stderr, "cannot write bench images to /tmp\n");
+        v2Bytes = static_cast<u64>(v2.tellp());
+        if (!v2.good()) {
+            std::fprintf(stderr, "cannot write the bench image to /tmp\n");
             return 1;
         }
     }
-    auto fileBytes = [](const std::string &path) {
-        std::ifstream f(path, std::ios::binary | std::ios::ate);
-        return static_cast<u64>(f.tellg());
-    };
-    const u64 v1Bytes = fileBytes(v1Path);
-    const u64 v2Bytes = fileBytes(v2Path);
 
     std::vector<Variant> variants;
-    variants.push_back({ "v1 stream-load (copy)", "v1_stream_load",
-                         [&]() {
-                             OpenedIndex idx;
-                             std::ifstream is(v1Path, std::ios::binary);
-                             auto loaded = genpair::loadSeedMap(is);
-                             idx.owned = std::make_unique<genpair::SeedMap>(
-                                 std::move(*loaded));
-                             idx.view = *idx.owned;
-                             return idx;
-                         } });
     variants.push_back({ "v2 mmap open (verify)", "v2_mmap_verify",
                          [&]() {
                              OpenedIndex idx;
@@ -270,25 +249,8 @@ main(int argc, char **argv)
     }
     std::printf("%s", table.toString("index image open cost").c_str());
 
-    const double speedupVerify =
-        results[1].minSeconds > 0
-            ? results[0].minSeconds / results[1].minSeconds
-            : 0.0;
-    const double speedupNoVerify =
-        results[2].minSeconds > 0
-            ? results[0].minSeconds / results[2].minSeconds
-            : 0.0;
-    std::printf("\nv2 open speedup vs v1 stream-load: %.2fx verified, "
-                "%.2fx unverified\n",
-                speedupVerify, speedupNoVerify);
-    std::printf("image bytes: v1 %llu, v2 %llu (+%.1f%% for alignment "
-                "+ directory)\n",
-                static_cast<unsigned long long>(v1Bytes),
-                static_cast<unsigned long long>(v2Bytes),
-                v1Bytes ? 100.0 * (static_cast<double>(v2Bytes) -
-                                   static_cast<double>(v1Bytes)) /
-                              static_cast<double>(v1Bytes)
-                        : 0.0);
+    std::printf("\nimage bytes: %llu\n",
+                static_cast<unsigned long long>(v2Bytes));
 
     if (!jsonPath.empty()) {
         std::ostringstream js;
@@ -297,7 +259,6 @@ main(int argc, char **argv)
            << "  \"gpx_version\": \"" << gpx::kVersion << "\",\n"
            << "  \"context\": " << gpx::bench::simdContextJson() << ",\n"
            << "  \"reference_bp\": " << ref.totalLength() << ",\n"
-           << "  \"image_bytes_v1\": " << v1Bytes << ",\n"
            << "  \"image_bytes_v2\": " << v2Bytes << ",\n"
            << "  \"shards_v2\": 8,\n"
            << "  \"variants\": [\n";
@@ -310,17 +271,12 @@ main(int argc, char **argv)
                << "\"rss_sweep_kb\": " << m.rssSweepKb << "}"
                << (i + 1 < variants.size() ? "," : "") << "\n";
         }
-        js << "  ],\n"
-           << "  \"v2_open_speedup_verified\": " << speedupVerify
-           << ",\n"
-           << "  \"v2_open_speedup_unverified\": " << speedupNoVerify
-           << "\n}\n";
+        js << "  ]\n}\n";
         std::ofstream out(jsonPath);
         out << js.str();
         std::printf("wrote %s\n", jsonPath.c_str());
     }
 
-    std::remove(v1Path.c_str());
     std::remove(v2Path.c_str());
     return 0;
 }

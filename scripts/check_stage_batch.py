@@ -1,27 +1,19 @@
 #!/usr/bin/env python3
 """Gate CI on the micro_stage_batch benchmark.
 
-The benchmark measures the batched stage-graph engine against an
-in-binary replay of the seed (pre-stage-graph) per-pair engine, so the
-speedup is a within-run ratio and machine-independent — the same
-contract style as the Myers-vs-scalar gate in
-check_kernel_regression.py. The checked-in BENCH_stage_batch.json
-records the production block size well above the floor; CI enforces a
-conservative floor so host noise cannot flake the job.
+The benchmark runs the batched stage graph under every SIMD backend the
+host supports, in one binary and one run, so the vectorized-vs-scalar
+ratio is machine-independent — the same contract style as the
+Myers-vs-scalar gate in check_kernel_regression.py.
 
-Two gates, both within-run ratios:
-
-  1. The widest-backend grid row at the gated batch size must beat the
-     monolith by --min-speedup.
-  2. The vectorized-vs-scalar ratio at the gated batch size (widest
-     backend rate / scalar backend rate, same binary, same run) must
-     reach --min-simd-ratio. Skipped with a notice when the host can
-     only run the scalar backend (no AVX2), and on pre-SIMD JSON whose
-     grid rows carry no "backend" field.
+One gate: the widest backend's rate at the gated batch size (the
+production MapperEngine block) divided by the scalar backend's rate at
+the same batch size must reach --min-simd-ratio. It SKIPs with a notice
+when the host can only run the scalar backend (no AVX2).
 
 Usage:
-  check_stage_batch.py CURRENT.json [--min-speedup 1.10]
-                       [--batch-pairs 64] [--min-simd-ratio 1.25]
+  check_stage_batch.py CURRENT.json [--batch-pairs 64]
+                       [--min-simd-ratio 1.25]
 """
 
 import argparse
@@ -34,16 +26,12 @@ BACKEND_ORDER = {"scalar": 0, "avx2": 1, "avx512": 2}
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("current")
-    ap.add_argument("--min-speedup", type=float, default=1.10,
-                    help="required batched-vs-monolith speedup at the "
-                         "gated batch size")
     ap.add_argument("--batch-pairs", type=int, default=64,
                     help="grid point to gate (the production "
                          "MapperEngine block size)")
     ap.add_argument("--min-simd-ratio", type=float, default=1.25,
                     help="required widest-backend-vs-scalar speedup at "
-                         "the gated batch size (skipped when the host "
-                         "has no vectorized backend)")
+                         "the gated batch size")
     args = ap.parse_args()
 
     with open(args.current) as f:
@@ -52,44 +40,25 @@ def main():
         print(f"error: {args.current} is not a micro_stage_batch record")
         return 1
 
-    # Group the gated-batch-size rows by backend; rows without a
-    # backend field (pre-SIMD JSON) land under None.
     gated = {}
     for point in doc.get("grid", []):
-        backend = point.get("backend")
+        backend = point["backend"]
         flag = ""
         if point["batch_pairs"] == args.batch_pairs:
             gated[backend] = point
             flag = "  << gated"
-        label = f"[{backend}] " if backend else ""
-        print(f"  {label}batch {point['batch_pairs']:6d}  "
-              f"{point['pairs_per_s']:>10} pairs/s  "
-              f"{point['speedup_vs_monolith']:.3f}x vs monolith{flag}")
-    if not gated:
-        print(f"error: no grid point with batch_pairs == "
+        print(f"  [{backend}] batch {point['batch_pairs']:6d}  "
+              f"{point['pairs_per_s']:>10} pairs/s{flag}")
+    if "scalar" not in gated:
+        print(f"error: no scalar grid point with batch_pairs == "
               f"{args.batch_pairs}")
         return 1
 
     widest = max(gated, key=lambda b: BACKEND_ORDER.get(b, -1))
-    speedup = float(gated[widest]["speedup_vs_monolith"])
-    who = f"{widest} " if widest else ""
-    if speedup < args.min_speedup:
-        print(f"FAIL: {who}stage-graph speedup {speedup:.3f}x is below "
-              f"the required {args.min_speedup:.2f}x")
-        return 1
-    print(f"OK: {who}stage-graph speedup {speedup:.3f}x "
-          f"(required >= {args.min_speedup:.2f}x)")
-
-    # Gate 2: vectorized vs scalar, same run.
-    if widest in (None, "scalar"):
-        reason = ("grid rows carry no backend field"
-                  if widest is None else "host runs scalar only, no AVX2")
-        print(f"SKIP: simd-vs-scalar ratio gate ({reason})")
+    if widest == "scalar":
+        print("SKIP: simd-vs-scalar ratio gate (host runs scalar only, "
+              "no AVX2)")
         return 0
-    if "scalar" not in gated:
-        print("error: vectorized rows present but no scalar row to "
-              "ratio against")
-        return 1
     scalar_rate = float(gated["scalar"]["pairs_per_s"])
     widest_rate = float(gated[widest]["pairs_per_s"])
     ratio = widest_rate / scalar_rate if scalar_rate > 0 else 0.0

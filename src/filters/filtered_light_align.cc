@@ -6,13 +6,14 @@ namespace filters {
 bool
 FilterGate::admit(const genomics::DnaSequence &read, GlobalPos candidate)
 {
+    // A candidate closer than the budget to the reference start leaves
+    // the filter no left flank to window; Light Alignment decides it.
+    if (candidate < budget_)
+        return true;
     ++evaluations_;
-    const GlobalPos from = candidate >= budget_ ? candidate - budget_ : 0;
-    const u32 center = static_cast<u32>(candidate - from);
-    genomics::DnaView window =
-        ref_.windowView(from, read.size() + 2 * static_cast<u64>(budget_));
-    const bool ok =
-        filter_.evaluate(read, window, center, budget_).accept;
+    genomics::DnaView window = ref_.windowView(
+        candidate - budget_, read.size() + 2 * static_cast<u64>(budget_));
+    const bool ok = filter_.evaluate(read, window, budget_, budget_).accept;
     if (!ok)
         ++rejections_;
     return ok;
@@ -24,18 +25,19 @@ FilteredLightAligner::align(const genomics::DnaSequence &read,
 {
     ++stats_.candidates;
 
-    // Build the same shifted window Light Alignment would inspect.
+    // Build the same shifted window Light Alignment would inspect. A
+    // candidate without a full left flank skips the gate (see
+    // FilterGate::admit).
     const u32 e = budget_;
-    const GlobalPos from = candidate >= e ? candidate - e : 0;
-    const u32 center = static_cast<u32>(candidate - from);
-    genomics::DnaView window =
-        ref_.windowView(from, read.size() + 2 * static_cast<u64>(e));
-
-    FilterDecision gate = gate_.evaluate(read, window, center, e);
-    stats_.gateEstimateSum += gate.estimatedEdits;
-    if (!gate.accept) {
-        ++stats_.gateRejected;
-        return {};
+    if (candidate >= e) {
+        genomics::DnaView window = ref_.windowView(
+            candidate - e, read.size() + 2 * static_cast<u64>(e));
+        FilterDecision gate = gate_.evaluate(read, window, e, e);
+        stats_.gateEstimateSum += gate.estimatedEdits;
+        if (!gate.accept) {
+            ++stats_.gateRejected;
+            return {};
+        }
     }
 
     ++stats_.lightAttempted;

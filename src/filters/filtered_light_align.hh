@@ -43,7 +43,9 @@ struct FilteredLightStats
 /**
  * genpair::LightAlignGate adapter: plugs SneakySnake (or any
  * PreAlignmentFilter) into GenPairPipeline::setLightAlignGate so the
- * SS8 combination runs inside the full Fig. 3 pipeline.
+ * SS8 combination runs inside the full Fig. 3 pipeline. A candidate
+ * closer than the budget to the reference start cannot be windowed and
+ * is admitted unevaluated; Light Alignment decides it.
  */
 class FilterGate final : public genpair::LightAlignGate
 {
@@ -95,7 +97,8 @@ class FilteredLightAligner
 
     /**
      * Gate, then light-align @p read at @p candidate. A gate reject
-     * returns aligned = false with zero hypotheses spent.
+     * returns aligned = false with zero hypotheses spent; a candidate
+     * below the gate budget bypasses the gate.
      */
     genpair::LightResult align(const genomics::DnaSequence &read,
                                GlobalPos candidate);

@@ -9,12 +9,11 @@ namespace genpair {
 
 namespace {
 
-/** Per-worker engines: DP fallback + stage-graph pipeline + gate. */
+/** Per-worker engines: DP fallback + stage-graph pipeline. */
 struct PairWorkerContext : WorkerContext
 {
     baseline::Mm2Lite fallback;
     GenPairPipeline pipeline;
-    std::unique_ptr<LightAlignGate> gate;
 
     PairWorkerContext(
         const genomics::Reference &ref, const SeedMapView &map,
@@ -23,10 +22,6 @@ struct PairWorkerContext : WorkerContext
         : fallback(ref, config.fallback, std::move(index)),
           pipeline(ref, map, config.pipeline, &fallback)
     {
-        if (config.gateFactory) {
-            gate = config.gateFactory();
-            pipeline.setLightAlignGate(gate.get());
-        }
     }
 };
 

@@ -17,7 +17,6 @@
 #ifndef GPX_GENPAIR_DRIVER_HH
 #define GPX_GENPAIR_DRIVER_HH
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -46,16 +45,6 @@ struct DriverConfig
      * lookup per seed plus the record stores.
      */
     bool recordTrace = false;
-
-    /**
-     * Light-align admission gate factory (paper SS8). Called once per
-     * worker at pool start-up so each pipeline owns a thread-local gate
-     * instance; empty = no gate. The workers start concurrently, so the
-     * factory may be invoked from all of them at once and must be
-     * thread-safe. Gate decisions must be a pure function of
-     * (read, candidate) or results become schedule-dependent.
-     */
-    std::function<std::unique_ptr<LightAlignGate>()> gateFactory;
 };
 
 /** Batch mapping results. */

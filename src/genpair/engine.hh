@@ -65,7 +65,7 @@ struct RunTiming
 };
 
 /**
- * Base class of a driver's per-worker state (mapping engines, gates,
+ * Base class of a driver's per-worker state (mapping engines,
  * scratch). Built once per worker at pool start-up and reused across
  * every run() call.
  */

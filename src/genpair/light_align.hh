@@ -74,7 +74,10 @@ struct LightResult
  * paper SS8 combination point: a cheap pre-alignment filter such as
  * SneakySnake drops hopeless candidates before any hypothesis is
  * evaluated). Implementations live outside genpair (see
- * filters::SneakyGate); the pipeline only sees this interface.
+ * filters::FilterGate); the pipeline only sees this interface. The
+ * stage consults it while staging a batch, every left side before any
+ * right side, so a decision must be a pure function of (read,
+ * candidate).
  */
 class LightAlignGate
 {
@@ -87,25 +90,18 @@ class LightAlignGate
 };
 
 /**
- * Reusable scratch for repeated light alignments. The batched
+ * Reusable scratch of the scalar light-alignment datapath. The
  * LightAlignStage attempts ~11.6 alignments per pair (paper §7.2), each
- * needing bit planes for read and window plus 2e+1 Hamming masks;
- * without scratch every attempt pays ~17 heap allocations. The read's
- * planes are additionally cached across the candidates of one pair
- * side: call invalidateRead() whenever the read changes.
+ * needing bit planes for the window plus 2e+1 Hamming masks; without
+ * scratch every attempt pays ~17 heap allocations.
  */
 struct LightAlignScratch
 {
-    align::BitPlanes read;
     align::BitPlanes window;
     std::vector<align::HammingMask> masks;
     std::vector<u32> popcount;
     std::vector<u32> prefix;
     std::vector<u32> suffix;
-    bool readValid = false;
-
-    /** Mark the cached read planes stale (the read changed). */
-    void invalidateRead() { readValid = false; }
 };
 
 /**
@@ -151,14 +147,6 @@ class LightAligner
      */
     LightResult align(const genomics::DnaView &read,
                       GlobalPos candidate) const;
-
-    /**
-     * Scratch-reusing form of align(): bit-identical result, no heap
-     * allocation once @p scratch is warm. @p scratch must have been
-     * invalidated (or used with the same read) since the read changed.
-     */
-    LightResult align(const genomics::DnaView &read, GlobalPos candidate,
-                      LightAlignScratch &scratch) const;
 
     /**
      * SIMD-across-batch form: evaluate @p count candidates, computing

@@ -451,43 +451,5 @@ SeedMap::build(const genomics::Reference &ref, const SeedMapParams &params,
     return map;
 }
 
-SeedMap
-SeedMap::fromTables(const SeedMapParams &params, u32 table_bits,
-                    std::vector<u32> seed_table,
-                    std::vector<u32> location_table)
-{
-    gpx_assert(seed_table.size() == (u64{1} << table_bits) + 1,
-               "seed table size does not match table bits");
-    gpx_assert(seed_table.back() == location_table.size(),
-               "seed table does not cover the location table");
-    SeedMap map;
-    map.params_ = params;
-    map.tableBits_ = table_bits;
-    map.seedTable_ = std::move(seed_table);
-    map.locationTable_ = std::move(location_table);
-
-    // Recompute occupancy statistics from the tables.
-    map.stats_.storedLocations = map.locationTable_.size();
-    double sumSq = 0;
-    for (std::size_t h = 0; h + 1 < map.seedTable_.size(); ++h) {
-        u64 n = map.seedTable_[h + 1] - map.seedTable_[h];
-        if (n > 0) {
-            ++map.stats_.distinctHashes;
-            sumSq += static_cast<double>(n) * n;
-        }
-    }
-    map.stats_.totalSeeds = map.stats_.storedLocations;
-    map.stats_.avgLocationsPerSeed =
-        map.stats_.distinctHashes
-            ? static_cast<double>(map.stats_.storedLocations) /
-                  map.stats_.distinctHashes
-            : 0.0;
-    map.stats_.queryWeightedLocations =
-        map.stats_.storedLocations
-            ? sumSq / static_cast<double>(map.stats_.storedLocations)
-            : 0.0;
-    return map;
-}
-
 } // namespace genpair
 } // namespace gpx

@@ -247,14 +247,6 @@ class SeedMap
         return locationTable_;
     }
 
-    /**
-     * Reconstruct a SeedMap from previously built tables (the
-     * deserialization path; occupancy statistics are recomputed).
-     */
-    static SeedMap fromTables(const SeedMapParams &params, u32 table_bits,
-                              std::vector<u32> seed_table,
-                              std::vector<u32> location_table);
-
   private:
     SeedMap() = default;
 

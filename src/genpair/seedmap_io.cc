@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "util/fault.hh"
@@ -65,11 +63,6 @@ parseV2Image(const u8 *data, u64 size, const SeedMapOpenOptions &options,
         return std::nullopt;
     }
     std::memcpy(&hdr, data, sizeof(hdr));
-    if (hdr.magic != SeedMapImageHeader::kMagic ||
-        hdr.version != SeedMapImageHeaderV2::kVersion) {
-        setError(error, "bad magic/version for a v2 image");
-        return std::nullopt;
-    }
     u64 wantHeaderSum = util::xxh64(data, sizeof(hdr) - sizeof(u64));
     if (hdr.headerChecksum != wantHeaderSum) {
         setError(error, "header checksum mismatch");
@@ -204,132 +197,10 @@ parseV2Image(const u8 *data, u64 size, const SeedMapOpenOptions &options,
             { { seedTable, ent.seedTableEntries },
               { locations, ent.locationEntries } });
     }
-    // The global CSR rebuilt from these shards stores 32-bit offsets;
-    // a crafted directory whose slices sum past that wraps the rebase.
-    u64 totalLocations = 0;
-    for (const auto &sh : out.shards)
-        totalLocations += sh.locations.size();
-    if (totalLocations > u64{ 0xFFFFFFFF }) {
-        setError(error, "total location count " +
-                            std::to_string(totalLocations) +
-                            " overflows the 32-bit offset space");
-        return std::nullopt;
-    }
     return out;
 }
 
-/** Reassemble an owning SeedMap from parsed v2 shards (the copy path). */
-SeedMap
-materializeV2(const ParsedV2 &parsed)
-{
-    const u64 tableEntries = u64{ 1 } << parsed.tableBits;
-    std::vector<u32> seedTable;
-    seedTable.reserve(tableEntries + 1);
-    std::vector<u32> locations;
-    u64 total = 0;
-    for (const auto &sh : parsed.shards)
-        total += sh.locations.size();
-    locations.reserve(total);
-    u32 base = 0;
-    for (const auto &sh : parsed.shards) {
-        // Drop each shard's trailing sentinel: the next shard's first
-        // local offset (0) rebased by the accumulated count continues
-        // the global CSR exactly where this shard ended.
-        for (std::size_t i = 0; i + 1 < sh.seedTable.size(); ++i)
-            seedTable.push_back(base + sh.seedTable[i]);
-        locations.insert(locations.end(), sh.locations.begin(),
-                         sh.locations.end());
-        base += static_cast<u32>(sh.locations.size());
-    }
-    seedTable.push_back(base);
-    return SeedMap::fromTables(parsed.params, parsed.tableBits,
-                               std::move(seedTable), std::move(locations));
-}
-
-std::optional<SeedMap>
-loadSeedMapV1Body(std::istream &is, const SeedMapImageHeader &hdr,
-                  std::string *error)
-{
-    if (hdr.tableBits > 30 ||
-        hdr.seedTableEntries != (u64{ 1 } << hdr.tableBits) + 1) {
-        setError(error, "v1 seed table size does not match table bits");
-        return std::nullopt;
-    }
-    if (hdr.locationEntries > (u64{ 1 } << 32)) {
-        // Bound the allocation before trusting a header the v1 format
-        // never checksummed.
-        setError(error, "v1 location entry count overflows the 32-bit "
-                        "location space");
-        return std::nullopt;
-    }
-
-    std::vector<u32> seedTable(hdr.seedTableEntries);
-    is.read(reinterpret_cast<char *>(seedTable.data()),
-            static_cast<std::streamsize>(hdr.seedTableEntries *
-                                         sizeof(u32)));
-    std::vector<u32> locationTable(hdr.locationEntries);
-    is.read(reinterpret_cast<char *>(locationTable.data()),
-            static_cast<std::streamsize>(hdr.locationEntries *
-                                         sizeof(u32)));
-    if (!is) {
-        setError(error, "v1 image truncated mid-table");
-        return std::nullopt;
-    }
-
-    u64 checksum = util::xxh64(locationTable.data(),
-                               locationTable.size() * sizeof(u32));
-    if (checksum != hdr.payloadChecksum) {
-        setError(error, "v1 payload checksum mismatch");
-        return std::nullopt;
-    }
-    if (seedTable.front() != 0 ||
-        seedTable.back() != locationTable.size()) {
-        setError(error, "v1 seed table does not cover the location table");
-        return std::nullopt;
-    }
-    // The v1 format never checksummed the seed table, so structural
-    // validation is the only line of defense: a non-monotone entry
-    // would turn lookup() into an out-of-bounds span (same contract as
-    // the v2 parser).
-    for (std::size_t i = 0; i + 1 < seedTable.size(); ++i) {
-        if (seedTable[i] > seedTable[i + 1]) {
-            setError(error, "v1 seed table CSR is not monotone");
-            return std::nullopt;
-        }
-    }
-
-    SeedMapParams params;
-    params.seedLen = hdr.seedLen;
-    params.tableBits = hdr.tableBits;
-    params.filterThreshold = hdr.filterThreshold;
-    return SeedMap::fromTables(params, hdr.tableBits,
-                               std::move(seedTable),
-                               std::move(locationTable));
-}
-
 } // namespace
-
-void
-saveSeedMap(std::ostream &os, const SeedMap &map)
-{
-    SeedMapImageHeader hdr;
-    hdr.seedLen = map.params().seedLen;
-    hdr.tableBits = map.tableBits();
-    hdr.filterThreshold = map.params().filterThreshold;
-    hdr.seedTableEntries = map.rawSeedTable().size();
-    hdr.locationEntries = map.rawLocationTable().size();
-    hdr.payloadChecksum = util::xxh64(
-        map.rawLocationTable().data(),
-        map.rawLocationTable().size() * sizeof(u32));
-
-    os.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
-    os.write(reinterpret_cast<const char *>(map.rawSeedTable().data()),
-             static_cast<std::streamsize>(hdr.seedTableEntries *
-                                          sizeof(u32)));
-    os.write(
-        reinterpret_cast<const char *>(map.rawLocationTable().data()),
-        static_cast<std::streamsize>(hdr.locationEntries * sizeof(u32)));
-}
 
 void
 saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards)
@@ -407,50 +278,6 @@ saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards)
     }
 }
 
-std::optional<SeedMap>
-loadSeedMap(std::istream &is, std::string *error)
-{
-    // The first two u32s dispatch the format generation.
-    u32 magicVersion[2];
-    is.read(reinterpret_cast<char *>(magicVersion), sizeof(magicVersion));
-    if (!is || magicVersion[0] != SeedMapImageHeader::kMagic) {
-        setError(error, "not a SeedMap image (bad magic)");
-        return std::nullopt;
-    }
-
-    if (magicVersion[1] == SeedMapImageHeader::kVersion) {
-        SeedMapImageHeader hdr;
-        is.read(reinterpret_cast<char *>(&hdr) + sizeof(magicVersion),
-                sizeof(hdr) - sizeof(magicVersion));
-        if (!is) {
-            setError(error, "v1 image truncated mid-header");
-            return std::nullopt;
-        }
-        hdr.magic = magicVersion[0];
-        hdr.version = magicVersion[1];
-        return loadSeedMapV1Body(is, hdr, error);
-    }
-
-    if (magicVersion[1] == SeedMapImageHeaderV2::kVersion) {
-        // Copy path for v2: slurp the stream, validate, reassemble the
-        // global tables. openSeedMap/SeedMapImage is the zero-copy way.
-        std::vector<u8> buf(sizeof(magicVersion));
-        std::memcpy(buf.data(), magicVersion, sizeof(magicVersion));
-        char chunk[65536];
-        while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
-            buf.insert(buf.end(), chunk, chunk + is.gcount());
-        auto parsed = parseV2Image(buf.data(), buf.size(),
-                                   SeedMapOpenOptions{}, error);
-        if (!parsed)
-            return std::nullopt;
-        return materializeV2(*parsed);
-    }
-
-    setError(error, "unsupported image version " +
-                        std::to_string(magicVersion[1]));
-    return std::nullopt;
-}
-
 std::optional<SeedMapImage>
 SeedMapImage::open(const std::string &path,
                    const SeedMapOpenOptions &options, std::string *error)
@@ -465,63 +292,50 @@ SeedMapImage::open(const std::string &path,
     }
     u32 magicVersion[2];
     std::memcpy(magicVersion, mapped->data(), sizeof(magicVersion));
-    if (magicVersion[0] != SeedMapImageHeader::kMagic) {
+    if (magicVersion[0] != SeedMapImageHeaderV2::kMagic) {
         setError(error, "not a SeedMap image (bad magic)");
         return std::nullopt;
     }
+    if (magicVersion[1] == 1) {
+        setError(error, path + " is a version 1 image, which is no "
+                        "longer supported; rebuild it with gpx_index");
+        return std::nullopt;
+    }
+    if (magicVersion[1] != SeedMapImageHeaderV2::kVersion) {
+        setError(error, path + " has unsupported image version " +
+                            std::to_string(magicVersion[1]));
+        return std::nullopt;
+    }
+    if (util::checkFault("mmap.validate")) {
+        setError(error, path + ": injected validation fault "
+                        "(mmap.validate)");
+        return std::nullopt;
+    }
+
+    // Validate in place against the mapping, once. The pass touches
+    // every byte the image will ever serve, so it runs under the
+    // SIGBUS guard: a file truncated between mmap and here (or shrunk
+    // by a botched index refresh) becomes a diagnostic reject instead
+    // of killing the process.
+    mapped->prefetch();
+    std::optional<ParsedV2> parsed;
+    const bool survived = util::SigbusGuard::run([&] {
+        parsed = parseV2Image(mapped->data(), mapped->size(), options,
+                              error);
+    });
+    if (!survived) {
+        setError(error, path + " truncated while validating "
+                        "(SIGBUS on a mapped page); refusing image");
+        return std::nullopt;
+    }
+    if (!parsed)
+        return std::nullopt;
 
     SeedMapImage image;
-    if (magicVersion[1] == SeedMapImageHeaderV2::kVersion) {
-        if (util::checkFault("mmap.validate")) {
-            setError(error, path + ": injected validation fault "
-                            "(mmap.validate)");
-            return std::nullopt;
-        }
-        // Validate in place against the mapping — once — whether the
-        // caller wants zero-copy serving or a forced owning copy. The
-        // pass touches every byte the image will ever serve, so it
-        // runs under the SIGBUS guard: a file truncated between mmap
-        // and here (or shrunk by a botched index refresh) becomes a
-        // diagnostic reject instead of killing the process.
-        mapped->prefetch();
-        std::optional<ParsedV2> parsed;
-        const bool survived = util::SigbusGuard::run([&] {
-            parsed = parseV2Image(mapped->data(), mapped->size(),
-                                  options, error);
-        });
-        if (!survived) {
-            setError(error, path + " truncated while validating "
-                            "(SIGBUS on a mapped page); refusing image");
-            return std::nullopt;
-        }
-        if (!parsed)
-            return std::nullopt;
-        if (options.forceCopy) {
-            image.owned_ =
-                std::make_unique<SeedMap>(materializeV2(*parsed));
-            image.params_ = image.owned_->params();
-            image.tableBits_ = image.owned_->tableBits();
-            return image;
-        }
-        image.file_ = std::move(*mapped);
-        image.shards_ = std::move(parsed->shards);
-        image.params_ = parsed->params;
-        image.tableBits_ = parsed->tableBits;
-        return image;
-    }
-
-    // v1 legacy path: stream-load into an owning map.
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        setError(error, "cannot reopen " + path);
-        return std::nullopt;
-    }
-    auto loaded = loadSeedMap(is, error);
-    if (!loaded)
-        return std::nullopt;
-    image.owned_ = std::make_unique<SeedMap>(std::move(*loaded));
-    image.params_ = image.owned_->params();
-    image.tableBits_ = image.owned_->tableBits();
+    image.file_ = std::move(*mapped);
+    image.shards_ = std::move(parsed->shards);
+    image.params_ = parsed->params;
+    image.tableBits_ = parsed->tableBits;
     return image;
 }
 

@@ -1,12 +1,10 @@
 /**
  * @file
- * SeedMap serialization: the legacy v1 stream image and the
- * memory-mappable sharded v2 image.
+ * SeedMap serialization: the memory-mappable sharded v2 image.
  *
  * The paper's offline stage builds SeedMap "only once for a given
- * reference genome" and reuses it across read sets (§4.2). v1 persisted
- * the two tables as a stream that every gpx_map start re-deserialized
- * through a full copy. The v2 format is designed to be used *in place*:
+ * reference genome" and reuses it across read sets (§4.2). The image
+ * is designed to be used *in place*:
  *
  *   [header, 64 B]
  *   [shard directory, shardCount x 64 B]
@@ -28,7 +26,6 @@
 #define GPX_GENPAIR_SEEDMAP_IO_HH
 
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,32 +36,16 @@
 namespace gpx {
 namespace genpair {
 
-/** Legacy v1 binary image header (kept bit-compatible with old images). */
-struct SeedMapImageHeader
-{
-    static constexpr u32 kMagic = 0x53504758; // "GPXS"
-    static constexpr u32 kVersion = 1;
-
-    u32 magic = kMagic;
-    u32 version = kVersion;
-    u32 seedLen = 0;
-    u32 tableBits = 0;
-    u32 filterThreshold = 0;
-    u64 seedTableEntries = 0;
-    u64 locationEntries = 0;
-    /** xxh64 of the location table payload, for corruption detection. */
-    u64 payloadChecksum = 0;
-};
-
 /** Section alignment of the v2 image (cache line / DMA burst). */
 inline constexpr u64 kSeedMapSectionAlign = 64;
 
 /** v2 image header: exactly one 64-byte aligned section. */
 struct SeedMapImageHeaderV2
 {
+    static constexpr u32 kMagic = 0x53504758; // "GPXS"
     static constexpr u32 kVersion = 2;
 
-    u32 magic = SeedMapImageHeader::kMagic;
+    u32 magic = kMagic;
     u32 version = kVersion;
     u32 seedLen = 0;
     u32 tableBits = 0;
@@ -93,24 +74,12 @@ struct SeedMapShardDirEntry
 };
 static_assert(sizeof(SeedMapShardDirEntry) == kSeedMapSectionAlign);
 
-/** Serialize a SeedMap to a v1 binary stream (legacy format). */
-void saveSeedMap(std::ostream &os, const SeedMap &map);
-
 /**
  * Serialize a SeedMap as a v2 image with @p shards hash-range shards
  * (rounded up to a power of two and clamped to the Seed Table size;
  * pass 1 for a single-shard image).
  */
 void saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards = 1);
-
-/**
- * Deserialize a v1 or v2 image through the owning copy path; returns
- * std::nullopt on magic/version/bounds/checksum mismatch (a truncated
- * or corrupt image must never be silently accepted) and, when @p error
- * is non-null, a human-readable diagnostic of what was rejected.
- */
-std::optional<SeedMap> loadSeedMap(std::istream &is,
-                                   std::string *error = nullptr);
 
 /** Options for SeedMapImage::open. */
 struct SeedMapOpenOptions
@@ -122,16 +91,12 @@ struct SeedMapOpenOptions
      * and directory are always verified).
      */
     bool verifyPayload = true;
-    /** Force the owning copy path even for v2 images (debugging). */
-    bool forceCopy = false;
 };
 
 /**
- * An opened SeedMap image. For v2 images the tables are served straight
- * from a read-only memory mapping — zero-copy, demand-paged and
- * kernel-shared across every process mapping the same file. v1 images
- * fall back to the legacy owning copy path, so callers can open any
- * image generation through this one interface.
+ * An opened SeedMap image. The tables are served straight from a
+ * read-only memory mapping — zero-copy, demand-paged and kernel-shared
+ * across every process mapping the same file.
  */
 class SeedMapImage
 {
@@ -139,7 +104,8 @@ class SeedMapImage
     /**
      * Open @p path, validating the header, directory and (by default)
      * payload checksums. Returns std::nullopt with a diagnostic in
-     * @p error on any validation failure.
+     * @p error on any validation failure, including an image version
+     * other than SeedMapImageHeaderV2::kVersion.
      */
     static std::optional<SeedMapImage>
     open(const std::string &path, const SeedMapOpenOptions &options = {},
@@ -149,24 +115,12 @@ class SeedMapImage
      * Query view over the image. Valid as long as this SeedMapImage is
      * alive and unmoved-from; hand it to the drivers by value.
      */
-    SeedMapView
-    view() const
-    {
-        if (owned_)
-            return owned_->view();
-        return { params_, tableBits_, shards_ };
-    }
+    SeedMapView view() const { return { params_, tableBits_, shards_ }; }
 
-    /** True when serving from the mapping (v2), false on the copy path. */
-    bool mmapBacked() const { return owned_ == nullptr; }
-    u32
-    shardCount() const
-    {
-        return owned_ ? 1u : static_cast<u32>(shards_.size());
-    }
+    u32 shardCount() const { return static_cast<u32>(shards_.size()); }
     u32 tableBits() const { return tableBits_; }
     const SeedMapParams &params() const { return params_; }
-    /** On-disk image size in bytes (0 on the v1 copy path). */
+    /** On-disk image size in bytes. */
     u64 imageBytes() const { return file_.size(); }
 
   private:
@@ -176,7 +130,6 @@ class SeedMapImage
     std::vector<SeedMapShardView> shards_; ///< spans into file_
     SeedMapParams params_;
     u32 tableBits_ = 0;
-    std::unique_ptr<SeedMap> owned_; ///< v1 legacy copy path
 };
 
 } // namespace genpair

@@ -201,115 +201,15 @@ runPaFilterStage(const StageContext &ctx, PairBatch &batch)
 
 namespace {
 
-/**
- * The gated light-alignment path: per-candidate scalar loop, exactly
- * the pre-batching behavior. Gates may be stateful (SneakySnake keeps
- * per-read state and its own counters), so admission order must stay
- * candidate-by-candidate; the SIMD batch path below only runs when no
- * gate is installed.
- */
-void
-runLightAlignStageGated(const StageContext &ctx, PairBatch &batch,
-                        StageCounters &sc)
+/** SS8 gate consult; a rejection is counted and skips the side. */
+inline bool
+gateAdmits(const StageContext &ctx, const DnaSequence &read,
+           GlobalPos candidate)
 {
-    for (u64 i = 0; i < batch.size; ++i) {
-        if (batch.route[i] != PairRoute::Pending)
-            continue;
-        ++sc.itemsIn;
-        const u64 alignsBefore = ctx.stats.lightAlignsAttempted;
-
-        struct Best
-        {
-            bool found = false;
-            i64 score = 0;
-            LightResult left;
-            LightResult right;
-            bool read1IsLeft = true;
-        } best;
-
-        for (u32 o = 0; o < 2; ++o) {
-            const OrientRefs refs = orientation(batch, i, o);
-            // The read changed: drop the cached bit planes.
-            batch.scratchLeft.invalidateRead();
-            batch.scratchRight.invalidateRead();
-            u32 budget = ctx.params.maxCandidatePairs;
-            const u64 begin = batch.pairOffsets[2 * i + o];
-            const u64 end = batch.pairOffsets[2 * i + o + 1];
-            for (u64 c = begin; c < end; ++c) {
-                if (budget-- == 0)
-                    break;
-                const CandidatePair &cand = batch.candidatePairs[c];
-                if (ctx.gate &&
-                    !ctx.gate->admit(*refs.left, cand.leftStart)) {
-                    ++ctx.stats.gateRejected;
-                    continue;
-                }
-                LightResult la = ctx.light.align(
-                    *refs.left, cand.leftStart, batch.scratchLeft);
-                ++ctx.stats.lightAlignsAttempted;
-                ctx.stats.lightHypotheses += la.hypothesesTried;
-                if (!la.aligned)
-                    continue;
-                if (ctx.gate &&
-                    !ctx.gate->admit(*refs.right, cand.rightStart)) {
-                    ++ctx.stats.gateRejected;
-                    continue;
-                }
-                LightResult ra = ctx.light.align(
-                    *refs.right, cand.rightStart, batch.scratchRight);
-                ++ctx.stats.lightAlignsAttempted;
-                ctx.stats.lightHypotheses += ra.hypothesesTried;
-                if (!ra.aligned)
-                    continue;
-                i64 score = static_cast<i64>(la.score) + ra.score;
-                if (!best.found || score > best.score) {
-                    best.found = true;
-                    best.score = score;
-                    best.left = la;
-                    best.right = ra;
-                    best.read1IsLeft = refs.read1IsLeft;
-                }
-            }
-        }
-
-        if (batch.trace)
-            batch.trace[i].lightAligns = static_cast<u32>(
-                ctx.stats.lightAlignsAttempted - alignsBefore);
-
-        if (best.found) {
-            ++ctx.stats.lightAligned;
-            ++sc.itemsOut;
-            batch.route[i] = PairRoute::LightAligned;
-            PairMapping &pm = batch.out[i];
-            pm = {};
-            pm.path = MappingPath::LightAligned;
-            Mapping leftMap, rightMap;
-            leftMap.mapped = true;
-            leftMap.pos = best.left.pos;
-            leftMap.score = best.left.score;
-            leftMap.cigar = best.left.cigar;
-            leftMap.reverse = false;
-            rightMap.mapped = true;
-            rightMap.pos = best.right.pos;
-            rightMap.score = best.right.score;
-            rightMap.cigar = best.right.cigar;
-            rightMap.reverse = true;
-            if (best.read1IsLeft) {
-                pm.first = std::move(leftMap);
-                pm.second = std::move(rightMap);
-            } else {
-                // Orientation B: read 2 maps forward, read 1 reverse.
-                leftMap.reverse = false;
-                rightMap.reverse = true;
-                pm.second = std::move(leftMap);
-                pm.first = std::move(rightMap);
-            }
-        } else {
-            // Fallback exit 3: light alignment rejected every candidate.
-            ++ctx.stats.lightAlignFallback;
-            batch.route[i] = PairRoute::LightFallback;
-        }
-    }
+    if (!ctx.gate || ctx.gate->admit(read, candidate))
+        return true;
+    ++ctx.stats.gateRejected;
+    return false;
 }
 
 /** Read planes of one pair-side, built once and shared per candidate. */
@@ -343,17 +243,12 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
     StageCounters &sc = counters(ctx, StageId::LightAlign);
     ++sc.batches;
 
-    if (ctx.gate) {
-        runLightAlignStageGated(ctx, batch, sc);
-        return;
-    }
-
-    // Gate-free path: evaluate the shifted-mask filter for whole lane
-    // groups of candidates per vector register. The scalar loop
-    // attempted the left side of every budgeted candidate and the
-    // right side only where the left aligned; two phased sweeps keep
-    // that exact attempt set, so every counter and trace field is
-    // unchanged.
+    // Evaluate the shifted-mask filter for whole lane groups of
+    // candidates per vector register. Each budgeted candidate attempts
+    // its left side, and its right side only where the left aligned;
+    // two phased sweeps keep that attempt set. An installed gate (paper
+    // SS8) is consulted before either side is staged, and a side it
+    // rejects is never attempted.
     struct CandRef
     {
         u64 pair;
@@ -373,10 +268,11 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
             for (u64 c = begin; c < end; ++c) {
                 if (budget-- == 0)
                     break;
+                const GlobalPos start = batch.candidatePairs[c].leftStart;
+                if (!gateAdmits(ctx, *orientation(batch, i, o).left, start))
+                    continue;
                 cands.push_back({ i, c, o });
-                leftItems.push_back(
-                    { &leftPlanes(batch, i, o),
-                      batch.candidatePairs[c].leftStart });
+                leftItems.push_back({ &leftPlanes(batch, i, o), start });
             }
         }
     }
@@ -392,10 +288,14 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
         ctx.stats.lightHypotheses += leftRes[t].hypothesesTried;
         if (!leftRes[t].aligned)
             continue;
+        const CandRef &ref = cands[t];
+        const GlobalPos start = batch.candidatePairs[ref.cand].rightStart;
+        if (!gateAdmits(ctx, *orientation(batch, ref.pair, ref.orient).right,
+                        start))
+            continue;
         rightSlot[t] = rightItems.size();
         rightItems.push_back(
-            { &rightPlanes(batch, cands[t].pair, cands[t].orient),
-              batch.candidatePairs[cands[t].cand].rightStart });
+            { &rightPlanes(batch, ref.pair, ref.orient), start });
     }
     std::vector<LightResult> rightRes(rightItems.size());
     ctx.light.alignBatch(rightItems.data(), rightItems.size(),
@@ -423,10 +323,11 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
         u32 pairAttempts = 0;
         for (; t < cands.size() && cands[t].pair == i; ++t) {
             ++pairAttempts;
-            const LightResult &la = leftRes[t];
-            if (!la.aligned)
+            // Unstaged right side: the left failed or the gate refused.
+            if (rightSlot[t] == SIZE_MAX)
                 continue;
             ++pairAttempts; // the right side was attempted too
+            const LightResult &la = leftRes[t];
             const LightResult &ra = rightRes[rightSlot[t]];
             if (!ra.aligned)
                 continue;

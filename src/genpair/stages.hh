@@ -7,12 +7,12 @@
  * LightAlignStage -> FallbackStage. Each stage is a pure function over
  * the batch: it reads the lanes earlier stages filled, appends its own,
  * routes pairs that exit the fast path (the Fig. 10 fallback classes)
- * and bumps its StageCounters. Per-pair work is bit-identical to the
- * historical monolithic mapPair() — the golden-corpus SAM digest pins
- * that — but the batch form reuses every scratch buffer across pairs
- * (revComp storage, CSR candidate stores, light-alignment bit planes
- * and masks), which removes the per-pair allocation traffic that
- * dominated the monolith's overhead.
+ * and bumps its StageCounters. Per-pair work is bit-identical to
+ * per-pair execution — the golden-corpus SAM digest pins that. The
+ * PairBatch keeps its lanes (revComp storage, CSR candidate stores,
+ * light-alignment bit planes and mask staging) across batches; the
+ * light-align and fallback stages still build their per-batch work
+ * lists afresh on every call.
  *
  * Lane convention (a proper FR pair maps one read forward and the other
  * reverse-complemented; both fragment orientations are evaluated):
@@ -134,15 +134,9 @@ struct PairBatch
     std::vector<CandidatePair> candidatePairs;
     std::vector<PairRoute> route;
 
-    // Light-alignment scratch: one per pair side, read planes cached
-    // across the candidates of an orientation.
-    LightAlignScratch scratchLeft;
-    LightAlignScratch scratchRight;
-
-    // Batched light-alignment state (the gate-free fast path): read
-    // bit planes per pair x orientation ([2*i+o], built on demand and
-    // shared by every candidate of that side) plus the lane-major
-    // ShdBatch staging.
+    // Light-alignment state: read bit planes per pair x orientation
+    // ([2*i+o], built on demand and shared by every candidate of that
+    // side) plus the lane-major ShdBatch staging.
     std::vector<align::BitPlanes> lightLeft;
     std::vector<align::BitPlanes> lightRight;
     std::vector<u8> lightLeftValid;

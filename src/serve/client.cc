@@ -89,6 +89,10 @@ ServeClient::readReply(Frame *frame, u8 expected_type,
     case FrameRead::kError:
         status->transportError = "reply read failed";
         return false;
+    case FrameRead::kIdleTimeout:
+    case FrameRead::kTimeout:
+        status->transportError = "reply read timed out";
+        return false;
     }
     if (frame->type == kErrorReply) {
         ErrorBody err;

@@ -547,6 +547,32 @@ TEST_F(FilteredLightTest, StatsAccumulateAndReset)
     EXPECT_EQ(combo.stats().candidates, 0u);
 }
 
+TEST_F(FilteredLightTest, CandidatesBelowTheBudgetBypassTheGate)
+{
+    // Candidates 0..budget-1 leave the filter no left flank to window.
+    // Both gate forms must admit them unevaluated (they used to abort
+    // on the window assertion) and leave the call to Light Alignment.
+    filters::FilteredLightAligner combo(ref_, params_, gate_);
+    const u32 budget = combo.gateBudget();
+    filters::FilterGate gate(ref_, gate_, budget);
+    genpair::LightAligner plain(ref_, params_);
+    DnaSequence read = ref_.window(0, 150);
+    for (GlobalPos c = 0; c < budget; ++c) {
+        EXPECT_TRUE(gate.admit(read, c)) << "candidate " << c;
+        auto r = combo.align(read, c);
+        auto p = plain.align(read, c);
+        EXPECT_EQ(r.aligned, p.aligned) << "candidate " << c;
+        EXPECT_EQ(r.hypothesesTried, p.hypothesesTried);
+    }
+    EXPECT_EQ(gate.evaluations(), 0u);
+    EXPECT_EQ(combo.stats().gateRejected, 0u);
+    EXPECT_EQ(combo.stats().lightAttempted, budget);
+
+    // The first windowable candidate is evaluated again.
+    EXPECT_TRUE(gate.admit(read, budget));
+    EXPECT_EQ(gate.evaluations(), 1u);
+}
+
 TEST_F(FilteredLightTest, GateBudgetCoversLightAlignBound)
 {
     filters::FilteredLightAligner combo(ref_, params_, gate_);

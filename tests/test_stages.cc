@@ -3,9 +3,8 @@
  * Stage-graph equivalence tests: the batched SoA engine must be
  * bit-identical to per-pair execution for any batch partition, with
  * statistics equal field by field, on inputs that exercise every
- * Fig. 10 fallback exit. Also pins the scratch-reusing kernels
- * (light-align scratch, branchless banded DP) against their
- * allocating/reference counterparts.
+ * Fig. 10 fallback exit, with and without a light-align gate. Also
+ * pins the branchless banded DP against its reference counterpart.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include "genpair/stages.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
+#include "test_gates.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -91,11 +91,13 @@ class StageGraphTest : public ::testing::Test
     }
 
     genpair::PipelineStats
-    runBatched(u64 batch, std::vector<genomics::PairMapping> *out)
+    runBatched(u64 batch, std::vector<genomics::PairMapping> *out,
+               genpair::LightAlignGate *gate = nullptr)
     {
         genpair::GenPairPipeline pipeline(ref_, *map_,
                                           genpair::GenPairParams{},
                                           mm2_.get());
+        pipeline.setLightAlignGate(gate);
         out->resize(pairs_.size());
         for (u64 begin = 0; begin < pairs_.size(); begin += batch) {
             u64 end = std::min<u64>(pairs_.size(), begin + batch);
@@ -169,15 +171,22 @@ TEST_F(StageGraphTest, EveryFallbackExitIsExercised)
 TEST_F(StageGraphTest, BatchPartitionInvariance)
 {
     // mapPair() (batch of one) and every other partition must produce
-    // identical mappings and identical stats, field by field.
-    std::vector<genomics::PairMapping> perPair;
-    auto perPairStats = runBatched(1, &perPair);
+    // identical mappings and identical stats, field by field. A
+    // light-align gate must not change that: it is consulted while
+    // candidates are staged for the lane groups.
+    gpx::testing::OddPositionGate odd;
+    genpair::LightAlignGate *gates[] = { nullptr, &odd };
+    for (genpair::LightAlignGate *gate : gates) {
+        std::vector<genomics::PairMapping> perPair;
+        auto perPairStats = runBatched(1, &perPair, gate);
+        EXPECT_EQ(perPairStats.gateRejected > 0, gate != nullptr);
 
-    for (u64 batch : { u64{ 7 }, u64{ 64 }, pairs_.size() }) {
-        std::vector<genomics::PairMapping> batched;
-        auto batchedStats = runBatched(batch, &batched);
-        expectMappingsEqual(perPair, batched);
-        expectStatsEqual(perPairStats, batchedStats);
+        for (u64 batch : { u64{ 7 }, u64{ 64 }, pairs_.size() }) {
+            std::vector<genomics::PairMapping> batched;
+            auto batchedStats = runBatched(batch, &batched, gate);
+            expectMappingsEqual(perPair, batched);
+            expectStatsEqual(perPairStats, batchedStats);
+        }
     }
 }
 
@@ -256,39 +265,6 @@ TEST_F(StageGraphTest, TraceRecordsMatchRouting)
     std::vector<genomics::PairMapping> plain;
     runBatched(pairs_.size(), &plain);
     expectMappingsEqual(plain, out);
-}
-
-TEST(LightAlignScratchTest, ScratchFormMatchesAllocatingForm)
-{
-    simdata::GenomeParams gp;
-    gp.length = 60000;
-    gp.seed = 9;
-    genomics::Reference ref = simdata::generateGenome(gp);
-    genpair::LightAligner aligner(ref, genpair::LightAlignParams{});
-    genpair::LightAlignScratch scratch;
-
-    util::Pcg32 rng(42);
-    for (int iter = 0; iter < 300; ++iter) {
-        u64 pos = 200 + rng.next() % (ref.totalLength() - 600);
-        genomics::DnaSequence read =
-            ref.windowView(pos, 150).materialize();
-        // Mutate a few bases / shift so all hypothesis classes fire.
-        for (int e = 0; e < static_cast<int>(rng.next() % 5); ++e)
-            read.set(rng.next() % read.size(),
-                     static_cast<u8>(rng.next() & 3));
-        GlobalPos candidate =
-            pos + static_cast<i64>(rng.next() % 9) - 4;
-        scratch.invalidateRead();
-        for (int rep = 0; rep < 2; ++rep) { // cached-planes path too
-            auto a = aligner.align(read, candidate);
-            auto b = aligner.align(read, candidate, scratch);
-            ASSERT_EQ(a.aligned, b.aligned);
-            ASSERT_EQ(a.score, b.score);
-            ASSERT_EQ(a.pos, b.pos);
-            ASSERT_EQ(a.hypothesesTried, b.hypothesesTried);
-            ASSERT_EQ(a.cigar.toString(), b.cigar.toString());
-        }
-    }
 }
 
 TEST(AffineOracleTest, BranchlessEngineMatchesReference)

@@ -13,7 +13,6 @@
 #include "genomics/fasta.hh"
 #include "genpair/streaming.hh"
 #include "simdata/datasets.hh"
-#include "test_gates.hh"
 #include "util/gzip_stream.hh"
 
 namespace {
@@ -250,32 +249,6 @@ TEST_F(StreamingTest, MixedGzipAndPlainStreamsMatch)
     std::string sam = streamedSamOver(util::gzipCompress(fq1_), fq2_,
                                       64, nullptr, 2, 2);
     EXPECT_EQ(sam, referenceSam());
-}
-
-TEST_F(StreamingTest, GateRejectionsSurviveChunkAggregation)
-{
-    // The seed batch driver dropped gateRejected when merging worker
-    // stats, so streaming runs always reported zero. With a rejecting
-    // gate installed, the counter must be nonzero and independent of
-    // chunking and thread count.
-    auto run = [&](u64 chunk_pairs, u32 threads) {
-        std::istringstream i1(fq1_), i2(fq2_);
-        std::ostringstream sam;
-        genomics::SamWriter writer(sam, *dataset_.reference);
-        writer.writeHeader();
-        genpair::DriverConfig config;
-        config.threads = threads;
-        config.gateFactory = [] {
-            return std::make_unique<gpx::testing::OddPositionGate>();
-        };
-        genpair::StreamingMapper mapper(*dataset_.reference, *map_,
-                                        config, chunk_pairs);
-        return mapper.run(i1, i2, writer).stats.gateRejected;
-    };
-    const u64 serial = run(1000000, 1);
-    EXPECT_GT(serial, 0u);
-    EXPECT_EQ(run(37, 4), serial);
-    EXPECT_EQ(run(7, 8), serial);
 }
 
 TEST_F(StreamingTest, MatchesBatchDriver)

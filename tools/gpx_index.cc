@@ -3,8 +3,8 @@
  * gpx_index — offline SeedMap construction (paper §4.2). Reads a
  * reference FASTA, builds the Seed Table + Location Table with the
  * index filtering threshold, reports the occupancy statistics the
- * hardware sizing depends on (Obs. 2), and persists the binary image
- * gpx_map loads.
+ * hardware sizing depends on (Obs. 2), and persists the v2 image
+ * gpx_map and gpx_serve memory-map.
  */
 
 #include <algorithm>
@@ -32,11 +32,9 @@ const char kUsage[] =
     "                       0 disables the filter              [500]\n"
     "  --threads N          build worker threads (0 = hardware;\n"
     "                       any count gives identical tables)  [0]\n"
-    "  --shards N           hash-range shards in the v2 image\n"
+    "  --shards N           hash-range shards in the image\n"
     "                       (rounded up to a power of two;\n"
     "                       0 = match the build threads)       [0]\n"
-    "  --format v1|v2       image format; v2 is 64-byte\n"
-    "                       aligned, sharded and mmap-served   [v2]\n"
     "  --version            print the gpx version and exit\n";
 
 } // namespace
@@ -47,8 +45,7 @@ main(int argc, char **argv)
     using namespace gpx;
     tools::Cli cli(argc, argv,
                    { "--ref", "--out", "--seed-len", "--table-bits",
-                     "--filter-threshold", "--threads", "--shards",
-                     "--format" },
+                     "--filter-threshold", "--threads", "--shards" },
                    {}, kUsage);
 
     const std::string refPath = cli.required("--ref");
@@ -73,9 +70,6 @@ main(int argc, char **argv)
     u32 threads = static_cast<u32>(cli.num("--threads", 0));
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    const std::string format = cli.str("--format", "v2");
-    if (format != "v1" && format != "v2")
-        gpx_fatal("--format must be v1 or v2, got ", format);
 
     util::Stopwatch watch;
     genpair::SeedMap map = genpair::SeedMap::build(ref, params, threads);
@@ -99,17 +93,13 @@ main(int argc, char **argv)
     std::ofstream out(outPath, std::ios::binary);
     if (!out)
         gpx_fatal("cannot open output: ", outPath);
-    if (format == "v1") {
-        genpair::saveSeedMap(out, map);
-    } else {
-        u32 shards = static_cast<u32>(cli.num("--shards", 0));
-        if (shards == 0)
-            shards = std::bit_ceil(threads);
-        genpair::saveSeedMapV2(out, map, shards);
-    }
+    u32 shards = static_cast<u32>(cli.num("--shards", 0));
+    if (shards == 0)
+        shards = std::bit_ceil(threads);
+    genpair::saveSeedMapV2(out, map, shards);
     out.flush();
     if (!out)
         gpx_fatal("write failed: ", outPath);
-    std::printf("wrote %s (%s image)\n", outPath.c_str(), format.c_str());
+    std::printf("wrote %s (v2 image)\n", outPath.c_str());
     return 0;
 }

@@ -41,12 +41,9 @@ const char kUsage[] =
     "  --long FILE          long-read FASTQ (SS4.7 pseudo-pair mode;\n"
     "                       replaces --r1/--r2)\n"
     "  --out FILE           output SAM ('-' for stdout)\n"
-    "  --index FILE         prebuilt SeedMap image (from gpx_index);\n"
-    "                       v2 images are served zero-copy via mmap,\n"
-    "                       v1 images load through the legacy copy\n"
-    "                       path; omitted = build in memory\n"
-    "  --no-mmap            force the owning copy path even for v2\n"
-    "                       images (debugging / comparison)\n"
+    "  --index FILE         prebuilt SeedMap image (from gpx_index),\n"
+    "                       served zero-copy via mmap; omitted =\n"
+    "                       build in memory\n"
     "  --threads N          worker threads (0 = hardware)     [0]\n"
     "  --io-threads N       FASTQ parser threads of the I/O\n"
     "                       spine (paired mode)               [1]\n"
@@ -74,7 +71,7 @@ main(int argc, char **argv)
                      "--index", "--threads", "--io-threads", "--delta",
                      "--filter-threshold", "--chunk", "--stats-json",
                      "--trace" },
-                   { "--baseline", "--no-mmap" }, kUsage);
+                   { "--baseline" }, kUsage);
 
     // Reference.
     const std::string refPath = cli.required("--ref");
@@ -105,27 +102,22 @@ main(int argc, char **argv)
             gpx_fatal("cannot open --r2 FASTQ");
     }
 
-    // SeedMap: open the offline image (zero-copy mmap for v2 images,
-    // legacy stream copy for v1) or build inline. Either way the query
-    // path below consumes only the non-owning view.
+    // SeedMap: open the offline image (zero-copy mmap) or build inline.
+    // Either way the query path below consumes only the non-owning
+    // view.
     std::optional<genpair::SeedMapImage> image;
     std::unique_ptr<genpair::SeedMap> built;
     genpair::SeedMapView map;
     if (cli.has("--index")) {
-        genpair::SeedMapOpenOptions opts;
-        opts.forceCopy = cli.has("--no-mmap");
         std::string err;
         util::Stopwatch watch;
-        image = genpair::SeedMapImage::open(cli.str("--index"), opts,
-                                            &err);
+        image = genpair::SeedMapImage::open(cli.str("--index"), {}, &err);
         if (!image)
             gpx_fatal("index image rejected: ", err);
         map = image->view();
-        std::printf("opened index in %.3f s (%s, %u shard%s)\n",
-                    watch.seconds(),
-                    image->mmapBacked() ? "mmap, zero-copy"
-                                        : "legacy copy path",
-                    image->shardCount(),
+        std::printf("opened index in %.3f s (mmap, zero-copy, %u "
+                    "shard%s)\n",
+                    watch.seconds(), image->shardCount(),
                     image->shardCount() == 1 ? "" : "s");
     } else {
         genpair::SeedMapParams sp;

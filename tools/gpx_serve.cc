@@ -198,12 +198,10 @@ main(int argc, char **argv)
             spec.view = loaded[i].image->view();
             spec.indexPath = files.indexPath; // hot-swappable
             std::fprintf(stderr,
-                         "mounted %s: %s + %s (%s, %u shard%s)\n",
+                         "mounted %s: %s + %s (mmap, zero-copy, %u "
+                         "shard%s)\n",
                          files.name.c_str(), files.refPath.c_str(),
                          files.indexPath.c_str(),
-                         loaded[i].image->mmapBacked()
-                             ? "mmap, zero-copy"
-                             : "legacy copy path",
                          loaded[i].image->shardCount(),
                          loaded[i].image->shardCount() == 1 ? "" : "s");
         } else {
