@@ -54,17 +54,20 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
     if (config_.recordTrace)
         result.trace.resize(pairs.size());
 
-    engine_->forEachContext([](WorkerContext &ctx) {
-        static_cast<PairWorkerContext &>(ctx).pipeline.resetStats();
-    });
-
     const genomics::ReadPair *in = pairs.data();
     genomics::PairMapping *out = result.mappings.data();
     PairTraceRecord *trace =
         config_.recordTrace ? result.trace.data() : nullptr;
     const bool useGenPair = config_.useGenPair;
 
-    result.timing = engine_->submit(
+    // The stats reset, the run and the stats merge all touch every
+    // worker context: one caller at a time owns the pool.
+    std::lock_guard<std::mutex> lock(mapMu_);
+    engine_->forEachContext([](WorkerContext &ctx) {
+        static_cast<PairWorkerContext &>(ctx).pipeline.resetStats();
+    });
+
+    result.timing = engine_->run(
         pairs.size(), [&](WorkerContext &wc, u64 begin, u64 end) {
             auto &ctx = static_cast<PairWorkerContext &>(wc);
             if (useGenPair) {
@@ -82,15 +85,6 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
             static_cast<PairWorkerContext &>(ctx).pipeline.stats();
     });
     return result;
-}
-
-DriverResult
-ParallelMapper::mapAllShared(const std::vector<genomics::ReadPair> &pairs)
-{
-    // The stats reset / engine run / stats merge sequence in mapAll()
-    // touches every worker context; one submitter at a time may own it.
-    std::lock_guard<std::mutex> lock(mapMu_);
-    return mapAll(pairs);
 }
 
 } // namespace genpair

@@ -60,8 +60,7 @@ struct DriverResult
 
 /**
  * Parallel paired-end mapping over a shared index, backed by the
- * persistent MapperEngine pool. Not itself thread-safe: one mapAll()
- * at a time (the workers inside it are the parallelism).
+ * persistent MapperEngine pool.
  */
 class ParallelMapper
 {
@@ -74,18 +73,13 @@ class ParallelMapper
     ParallelMapper(const genomics::Reference &ref,
                    const SeedMapView &map, const DriverConfig &config);
 
-    /** Map all pairs; mappings[i] corresponds to pairs[i]. */
-    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
-
     /**
-     * Thread-safe form of mapAll() for foreign-thread submission
-     * (gpx_serve connection handlers): concurrent callers are
-     * serialized in arrival order, each call owning the worker pool —
-     * and the per-worker stats accumulators — for its whole batch.
-     * Results are bit-identical to mapAll() from the owning thread.
+     * Map all pairs; mappings[i] corresponds to pairs[i]. Safe from
+     * any thread: callers wait for the pool one at a time, in no
+     * promised order, and each gets the mappings, stats and timing
+     * (pool occupancy, not the wait) it would get alone.
      */
-    DriverResult
-    mapAllShared(const std::vector<genomics::ReadPair> &pairs);
+    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
 
     u32 threads() const { return engine_->threads(); }
 
@@ -96,7 +90,7 @@ class ParallelMapper
     std::shared_ptr<const baseline::MinimizerIndex> sharedIndex_;
     /** Built after sharedIndex_ (workers capture it); one pool. */
     std::unique_ptr<MapperEngine> engine_;
-    /** Serializes mapAllShared() callers around the pool + stats. */
+    /** Serializes mapAll() callers around the pool + stats. */
     std::mutex mapMu_;
 };
 

@@ -103,13 +103,6 @@ MapperEngine::run(u64 items, const BlockFn &fn)
     return RunTiming::of(items, watch.seconds());
 }
 
-RunTiming
-MapperEngine::submit(u64 items, const BlockFn &fn)
-{
-    std::lock_guard<std::mutex> lock(submitMu_);
-    return run(items, fn);
-}
-
 void
 MapperEngine::forEachContext(
     const std::function<void(WorkerContext &)> &fn)

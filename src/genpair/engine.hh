@@ -79,6 +79,8 @@ class WorkerContext
  * The persistent worker pool + block cursor. Not itself thread-safe:
  * one run() at a time (the workers inside it are the parallelism).
  * forEachContext() must only be called while no run() is in flight.
+ * Drivers that accept calls from many threads serialize them before
+ * they reach the engine (ParallelMapper::mapAll).
  */
 class MapperEngine
 {
@@ -108,21 +110,9 @@ class MapperEngine
     /**
      * Run @p fn over all blocks of [0, items) and return the measured
      * timing. Blocks are pulled off a shared atomic cursor; every item
-     * is processed exactly once.
+     * is processed exactly once. One caller at a time.
      */
     RunTiming run(u64 items, const BlockFn &fn);
-
-    /**
-     * Thread-safe job submission: like run(), but callable from any
-     * thread, concurrently. Concurrent submitters are serialized in
-     * arrival order (one job owns the whole pool at a time — the
-     * workers inside a job are the parallelism), which is exactly the
-     * admission discipline a resident server wants: a request's batch
-     * runs on every core, requests queue behind each other. The
-     * returned timing covers only this job's pool occupancy, not the
-     * time spent waiting behind other submitters.
-     */
-    RunTiming submit(u64 items, const BlockFn &fn);
 
     /**
      * Visit every worker context from the calling thread (stats reset
@@ -141,9 +131,6 @@ class MapperEngine
 
     u32 threads_;
     u64 blockItems_;
-
-    /** Serializes submit() callers; run() callers never take it. */
-    std::mutex submitMu_;
 
     // Job hand-off: run() publishes the job under mu_, bumps jobSeq_
     // and wakes the pool; workers race the shared cursor and the last

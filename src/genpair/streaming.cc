@@ -34,20 +34,10 @@ StreamingMapper::StreamingMapper(const genomics::Reference &ref,
                                  const SeedMapView &map,
                                  const DriverConfig &config,
                                  u64 chunk_pairs, u32 io_threads)
-    : owned_(std::make_unique<ParallelMapper>(ref, map, config)),
-      mapper_(*owned_), borrowed_(false),
+    : mapper_(ref, map, config),
       chunkPairs_(chunk_pairs == 0 ? 1 : chunk_pairs),
       ioThreads_(io_threads == 0 ? 1 : io_threads),
       traceEnabled_(config.recordTrace)
-{
-}
-
-StreamingMapper::StreamingMapper(ParallelMapper &shared, u64 chunk_pairs,
-                                 u32 io_threads, bool record_trace)
-    : mapper_(shared), borrowed_(true),
-      chunkPairs_(chunk_pairs == 0 ? 1 : chunk_pairs),
-      ioThreads_(io_threads == 0 ? 1 : io_threads),
-      traceEnabled_(record_trace)
 {
 }
 
@@ -167,8 +157,8 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
     });
 
     // Mapper (this thread): the pool's workers are the parallelism.
-    // Chunks are mapped in arrival order (mapping is per-pair pure;
-    // the writer restores input order).
+    // Chunks are mapped as they come off parsedQ (mapping is per-pair
+    // pure; the writer restores input order).
     double mapSeconds = 0;
     u64 totalParsed = 0;
     bool tooLarge = false;
@@ -196,9 +186,7 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
             rawQ.close();
         } else if (!tooLarge &&
                    !writeFailed.load(std::memory_order_relaxed)) {
-            DriverResult res = borrowed_
-                                   ? mapper_.mapAllShared(parsed->pairs)
-                                   : mapper_.mapAll(parsed->pairs);
+            DriverResult res = mapper_.mapAll(parsed->pairs);
             result.stats += res.stats;
             mapSeconds += res.timing.seconds;
             result.pairs += parsed->pairs.size();

@@ -10,10 +10,10 @@
  *
  *   chunker thread  — scans raw FASTQ text (gzip inflated, prefetch
  *                     double-buffered) into sequence-numbered chunks
- *   N parser threads— full parse/encode of disjoint chunks (the
- *                     --io-threads knob)
- *   mapper (caller) — feeds each parsed chunk to the MapperEngine
- *                     worker pool, in arrival order
+ *   N parser threads— full parse/encode of disjoint chunks (gpx_map
+ *                     --io-threads)
+ *   mapper (caller) — maps each parsed chunk on the worker pool
+ *                     (ParallelMapper::mapAll)
  *   writer thread   — sequence-numbered reorder buffer; emits trace
  *                     events and batched SAM strictly in input order
  *
@@ -31,7 +31,6 @@
 
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "genomics/fasta.hh"
@@ -63,7 +62,7 @@ enum class StreamRunStatus
     kWriteError, ///< SAM emission failed (checked writer); output torn
 };
 
-/** Chunked mapping driver over the shared SeedMap. */
+/** Chunked mapping driver over the shared SeedMap; owns its pool. */
 class StreamingMapper
 {
   public:
@@ -86,16 +85,6 @@ class StreamingMapper
                     u64 chunk_pairs = 65536, u32 io_threads = 1);
 
     /**
-     * Borrowing form for daemons: rides an existing ParallelMapper
-     * (thread-safe mapAllShared submission) instead of owning a pool,
-     * so many request handlers can stream over one resident mount.
-     * @p shared must outlive this mapper.
-     */
-    explicit StreamingMapper(ParallelMapper &shared,
-                             u64 chunk_pairs = 65536, u32 io_threads = 1,
-                             bool record_trace = false);
-
-    /**
      * Map all pairs from @p r1/@p r2 (same-order FASTQ streams; plain
      * or gzip) and write records through @p sam. Fatal error — naming
      * the stream that ended early — if the streams yield different
@@ -115,7 +104,9 @@ class StreamingMapper
      * stream rank (0 = R1, 1 = R2, 2 = pair-level disagreement) so
      * callers can attribute it. On any status other than kOk the SAM
      * output and @p result are partial and must be discarded by the
-     * caller.
+     * caller. One mapper may run() / tryRun() several inputs at once
+     * from different threads: all per-run state is local to the call,
+     * and pool access is serialized inside ParallelMapper::mapAll().
      */
     StreamRunStatus tryRun(std::istream &r1, std::istream &r2,
                            genomics::SamWriter &sam,
@@ -125,9 +116,7 @@ class StreamingMapper
                            const TraceSink &trace_sink = nullptr);
 
   private:
-    std::unique_ptr<ParallelMapper> owned_;
-    ParallelMapper &mapper_;
-    const bool borrowed_;
+    ParallelMapper mapper_;
     u64 chunkPairs_;
     u32 ioThreads_;
     bool traceEnabled_;

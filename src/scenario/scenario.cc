@@ -22,6 +22,7 @@
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 #include "util/gzip_stream.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace gpx {
@@ -343,15 +344,17 @@ injectAmbiguousBases(std::string &fastq, u64 every)
     return touched;
 }
 
+/** Ingest-scenario spine: many chunks per input, two racing parsers. */
+constexpr u64 kSpineChunkPairs = 1024;
+constexpr u32 kSpineParsers = 2;
+
 /** One spine pass: FASTQ text in, SAM text out. */
 genpair::StreamRunStatus
-runSpine(genpair::ParallelMapper &mapper, const Reference &ref,
-         const ScenarioOptions &options, const std::string &r1,
-         const std::string &r2, std::string &sam_text,
-         genpair::StreamingResult &sr, genomics::IngestError &error)
+runSpine(genpair::StreamingMapper &spine, const Reference &ref,
+         const std::string &r1, const std::string &r2,
+         std::string &sam_text, genpair::StreamingResult &sr,
+         genomics::IngestError &error)
 {
-    genpair::StreamingMapper spine(mapper, options.chunkPairs,
-                                   options.ioThreads);
     std::istringstream i1(r1), i2(r2);
     std::ostringstream out;
     genomics::SamWriter sam(out, ref);
@@ -431,18 +434,19 @@ runGzipIngest(const ScenarioSpec &spec, const ScenarioOptions &options)
         ref, genpair::SeedMapParams{}, options.threads);
     genpair::DriverConfig config;
     config.threads = options.threads;
-    genpair::ParallelMapper mapper(ref, map, config);
+    genpair::StreamingMapper spine(ref, map, config, kSpineChunkPairs,
+                                   kSpineParsers);
 
     std::string samPlain, samGz;
     genpair::StreamingResult plainRun, gzRun;
     genomics::IngestError error;
-    if (runSpine(mapper, ref, options, r1, r2, samPlain, plainRun,
-                 error) != genpair::StreamRunStatus::kOk) {
+    if (runSpine(spine, ref, r1, r2, samPlain, plainRun, error) !=
+        genpair::StreamRunStatus::kOk) {
         result.rejected = true;
         result.rejectDiagnostic = "plain-text run failed: " + error.message;
         return result;
     }
-    if (runSpine(mapper, ref, options, util::gzipCompress(r1),
+    if (runSpine(spine, ref, util::gzipCompress(r1),
                  util::gzipCompress(r2), samGz, gzRun,
                  error) != genpair::StreamRunStatus::kOk) {
         result.rejected = true;
@@ -482,13 +486,14 @@ runTruncatedIngest(const ScenarioSpec &spec,
         ref, genpair::SeedMapParams{}, options.threads);
     genpair::DriverConfig config;
     config.threads = options.threads;
-    genpair::ParallelMapper mapper(ref, map, config);
+    genpair::StreamingMapper spine(ref, map, config, kSpineChunkPairs,
+                                   kSpineParsers);
 
     std::string sam;
     genpair::StreamingResult run;
     genomics::IngestError error;
     genpair::StreamRunStatus status =
-        runSpine(mapper, ref, options, r1, r2, sam, run, error);
+        runSpine(spine, ref, r1, r2, sam, run, error);
     result.rejected =
         status == genpair::StreamRunStatus::kParseError && error.set();
     result.rejectDiagnostic = error.message;
@@ -668,27 +673,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioOptions &options)
     return result;
 }
 
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 writeScenariosJson(std::ostream &os,
                    const std::vector<ScenarioResult> &rows, double scale,
@@ -705,14 +689,14 @@ writeScenariosJson(std::ostream &os,
        << "  \"scenarios\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScenarioResult &r = rows[i];
-        os << "    {\"name\": \"" << jsonEscape(r.name) << "\","
+        os << "    {\"name\": \"" << util::jsonEscape(r.name) << "\","
            << " \"kind\": \"" << kindName(r.kind) << "\",\n"
            << "     \"skipped\": " << (r.skipped ? "true" : "false")
-           << ", \"skip_reason\": \"" << jsonEscape(r.skipReason)
+           << ", \"skip_reason\": \"" << util::jsonEscape(r.skipReason)
            << "\",\n"
            << "     \"rejected\": " << (r.rejected ? "true" : "false")
            << ", \"reject_diagnostic\": \""
-           << jsonEscape(r.rejectDiagnostic) << "\",\n"
+           << util::jsonEscape(r.rejectDiagnostic) << "\",\n"
            << "     \"reads\": " << r.reads << ", \"mapped\": "
            << r.mapped << ", \"correct\": " << r.correct
            << ", \"accuracy\": " << r.accuracy << ",\n"
@@ -728,7 +712,7 @@ writeScenariosJson(std::ostream &os,
         for (std::size_t a = 0; a < r.attribution.size(); ++a) {
             const eval::RegionAccuracy &region = r.attribution[a];
             os << (a ? ", " : "") << "{\"label\": \""
-               << jsonEscape(region.label) << "\", \"reads\": "
+               << util::jsonEscape(region.label) << "\", \"reads\": "
                << region.readsTotal << ", \"mapped\": " << region.mapped
                << ", \"correct\": " << region.correct
                << ", \"cross_mapped\": " << region.crossMapped

@@ -94,9 +94,7 @@ struct ScenarioOptions
      * scales through the library.
      */
     double scale = 1.0;
-    u32 threads = 0;    ///< mapper threads (0 = hardware)
-    u32 ioThreads = 2;  ///< parser threads of the streaming spine
-    u64 chunkPairs = 1024;
+    u32 threads = 0; ///< mapper threads (0 = hardware)
     /**
      * Directory for the scenario's scratch files (the contamination
      * image); empty = current directory. Files are removed afterwards.

@@ -1,6 +1,6 @@
 /**
  * @file
- * ServeClient: the reference gpx-serve-proto v1 client, shared by the
+ * ServeClient: the reference gpx-serve-proto v2 client, shared by the
  * gpx_client tool, the end-to-end serve tests and the latency bench.
  * One instance owns one connection; calls are synchronous (send the
  * request frame, block for the matching reply) and must come from one
@@ -49,7 +49,7 @@ struct RetryPolicy
     u32 maxBackoffMs = 2000; ///< backoff cap (doubling stops here)
 };
 
-/** Synchronous gpx-serve-proto v1 connection. */
+/** Synchronous gpx-serve-proto v2 connection. */
 class ServeClient
 {
   public:

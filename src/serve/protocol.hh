@@ -1,6 +1,6 @@
 /**
  * @file
- * gpx-serve-proto v1: the length-prefixed binary framing spoken
+ * gpx-serve-proto v2: the length-prefixed binary framing spoken
  * between gpx_serve and its clients.
  *
  * The normative specification lives in docs/serve_protocol.md (kept in

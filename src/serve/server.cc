@@ -7,6 +7,7 @@
 
 #include "genomics/fasta.hh"
 #include "genomics/sam.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -67,10 +68,8 @@ ServeServer::buildEpoch(const genomics::Reference &ref,
     auto epoch = std::make_shared<MountEpoch>();
     genpair::DriverConfig driver = config_.driver;
     driver.threads = config_.threads;
-    epoch->mapper =
-        std::make_unique<genpair::ParallelMapper>(ref, view, driver);
     epoch->spine = std::make_unique<genpair::StreamingMapper>(
-        *epoch->mapper, config_.chunkPairs, config_.ioThreads);
+        ref, view, driver, config_.chunkPairs, 1);
     return epoch;
 }
 
@@ -179,7 +178,8 @@ ServeServer::statsJson() const
     os << "{\n\"server\": {\n"
        << "  \"simd\": {\"backend\": \""
        << util::simdBackendName(util::activeSimdBackend())
-       << "\", \"reason\": \"" << util::simdBackendReason() << "\"},\n"
+       << "\", \"reason\": \""
+       << util::jsonEscape(util::simdBackendReason()) << "\"},\n"
        << "  \"connections_accepted\": "
        << counters_.connectionsAccepted << ",\n"
        << "  \"requests_served\": " << counters_.requestsServed << ",\n"
@@ -202,7 +202,7 @@ ServeServer::statsJson() const
        << "\n},\n"
        << "\"mounts\": {\n";
     for (std::size_t i = 0; i < mounts_.size(); ++i) {
-        os << "\"" << mounts_[i].name << "\": ";
+        os << "\"" << util::jsonEscape(mounts_[i].name) << "\": ";
         mounts_[i].stats.writeJson(os);
         if (i + 1 < mounts_.size())
             os << ",";
@@ -360,13 +360,12 @@ ServeServer::handleMapRequest(const util::Socket &sock,
                       "no mount named '" + req.refName + "'", true);
 
     // The request rides the mount's streaming spine (the same code
-    // path as gpx_map): chunked parallel ingest — plain or gzip —
-    // through the borrowed pool, emission input-ordered into the
-    // reply buffer. tryRun's recoverable discipline means a malformed
-    // batch rejects this one request with a diagnostic error frame;
-    // the daemon and the connection both survive (the batch tools'
-    // fatal discipline would take every other client down with the
-    // bad request).
+    // path as gpx_map): chunked ingest — plain or gzip — mapped on the
+    // mount's pool, emission input-ordered into the reply buffer.
+    // tryRun's recoverable discipline means a malformed batch rejects
+    // this one request with a diagnostic error frame; the daemon and
+    // the connection both survive (the batch tools' fatal discipline
+    // would take every other client down with the bad request).
     bool waited = false;
     switch (gate_.acquireFor(config_.queueTimeoutMs, &waited,
                              draining_)) {

@@ -8,19 +8,20 @@
  * SeedMap shards stay mounted behind a SeedMapView on kernel-shared
  * mmap pages, one persistent MapperEngine worker pool per mount stays
  * warm — and then serves any number of concurrent connections speaking
- * gpx-serve-proto v1 (protocol.hh, docs/serve_protocol.md).
+ * gpx-serve-proto v2 (protocol.hh, docs/serve_protocol.md).
  *
  * Concurrency shape: one accept loop, one handler thread per
  * connection, and a bounded admission gate in front of the mapping
- * pool. A connection thread parses its request, waits for an admission
- * slot (backpressure: when the queue is full the handler blocks, the
- * client's socket fills, and the client's send blocks — no unbounded
- * buffering anywhere), then submits the batch to the mount's
- * ParallelMapper through the thread-safe mapAllShared() entry point.
- * Requests on one connection are handled strictly in order; requests
- * on different connections share the pool in admission order. Mapping
- * itself is bit-identical to gpx_map over the same pairs — the golden
- * corpus digest is pinned by tests/test_serve.cc.
+ * pool. A connection thread decodes its request, waits for an
+ * admission slot (backpressure: when the queue is full the handler
+ * blocks, the client's socket fills, and the client's send blocks — no
+ * unbounded buffering anywhere), then streams the request's FASTQ
+ * through the mount's StreamingMapper (tryRun()), whose chunks take
+ * turns on the pool inside ParallelMapper::mapAll(). Requests on one
+ * connection are handled strictly in order; admitted requests on
+ * different connections share the pool chunk by chunk. Mapping itself
+ * is bit-identical to gpx_map over the same pairs — the golden corpus
+ * digest is pinned by tests/test_serve.cc.
  *
  * Lifecycle: requestShutdown() (SIGTERM via the tool, a SHUTDOWN
  * frame, or a test) stops the accept loop, wakes idle connections,
@@ -82,8 +83,6 @@ struct ServeConfig
     u32 maxFrameBytes = kDefaultMaxFrameBytes;
     /** Per-request pair-count ceiling. */
     u32 maxPairsPerRequest = kDefaultMaxPairsPerRequest;
-    /** Parser threads of each request's ingest spine (>= 1). */
-    u32 ioThreads = 1;
     /** Read pairs per streaming chunk of a request's spine run. */
     u32 chunkPairs = 1024;
     /**
@@ -205,21 +204,19 @@ class ServeServer
   private:
     /**
      * One published generation of a mount's index: the image (for
-     * refreshed epochs; the initial epoch borrows MountSpec::view),
-     * its warm mapper pool, and the streaming spine over it. Request
+     * refreshed epochs; the initial epoch borrows MountSpec::view) and
+     * the streaming spine, with its warm worker pool, over it. Request
      * handlers pin the epoch with a shared_ptr for the duration of a
      * request, so an old epoch survives — mapped and serving — until
      * its last in-flight request completes, then unmaps in the
-     * destructor. No locks are held while mapping.
+     * destructor. No server lock is held while mapping.
      */
     struct MountEpoch
     {
         u64 epochId = 0;
         /** Owns the mmap for refreshed epochs; nullopt initially. */
         std::optional<genpair::SeedMapImage> image;
-        std::unique_ptr<genpair::ParallelMapper> mapper;
-        /** Borrowed-pool streaming spine over `mapper`; tryRun() is
-         *  safe to call from any number of handler threads at once. */
+        /** tryRun() is safe from any number of handler threads. */
         std::unique_ptr<genpair::StreamingMapper> spine;
     };
 

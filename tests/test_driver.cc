@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <thread>
 
 #include "genpair/driver.hh"
 #include "simdata/genome_generator.hh"
@@ -118,6 +120,55 @@ TEST_F(DriverTest, PoolPersistsAcrossMapAllCalls)
         EXPECT_EQ(first.mappings[i].first.pos,
                   second.mappings[i].first.pos);
         EXPECT_EQ(first.mappings[i].path, second.mappings[i].path);
+    }
+}
+
+TEST_F(DriverTest, ConcurrentMapAllCallsEachMatchACallMadeAlone)
+{
+    // mapAll() is the one thread-safe way onto the pool: each caller
+    // owns the workers from the stats reset through the stats merge,
+    // so no call sees another's mappings or counters. Inputs of three
+    // sizes make a leaked or lost counter show in every field.
+    DriverConfig cfg;
+    cfg.threads = 2;
+    ParallelMapper mapper(ref_, *map_, cfg);
+    const std::vector<std::vector<genomics::ReadPair>> inputs = {
+        pairs_,
+        { pairs_.begin(), pairs_.begin() + 100 },
+        { pairs_.begin() + 140, pairs_.end() },
+    };
+    auto statsJson = [](const genpair::PipelineStats &stats) {
+        std::ostringstream os;
+        stats.writeJson(os);
+        return os.str();
+    };
+    std::vector<genpair::DriverResult> alone;
+    for (const auto &in : inputs)
+        alone.push_back(mapper.mapAll(in));
+
+    for (int round = 0; round < 4; ++round) {
+        std::vector<genpair::DriverResult> together(inputs.size());
+        std::vector<std::thread> callers;
+        for (std::size_t t = 0; t < inputs.size(); ++t)
+            callers.emplace_back(
+                [&, t] { together[t] = mapper.mapAll(inputs[t]); });
+        for (auto &caller : callers)
+            caller.join();
+        for (std::size_t t = 0; t < inputs.size(); ++t) {
+            EXPECT_EQ(statsJson(together[t].stats),
+                      statsJson(alone[t].stats))
+                << "caller " << t << ", round " << round;
+            ASSERT_EQ(together[t].mappings.size(), inputs[t].size());
+            for (std::size_t i = 0; i < inputs[t].size(); ++i) {
+                const auto &a = alone[t].mappings[i];
+                const auto &b = together[t].mappings[i];
+                EXPECT_EQ(a.first.pos, b.first.pos);
+                EXPECT_EQ(a.second.pos, b.second.pos);
+                EXPECT_EQ(a.first.score, b.first.score);
+                EXPECT_EQ(a.second.score, b.second.score);
+                EXPECT_EQ(a.path, b.path);
+            }
+        }
     }
 }
 

@@ -291,7 +291,8 @@ TEST(IngestFuzz, FullSpineRejectsOrMapsNeverCrashes)
         genpair::SeedMap::build(ref, genpair::SeedMapParams{}, 2);
     genpair::DriverConfig config;
     config.threads = 2;
-    genpair::ParallelMapper mapper(ref, map, config);
+    genpair::StreamingMapper spine(ref, map, config, /*chunk_pairs=*/64,
+                                   /*io_threads=*/2);
 
     util::Pcg32 rng(4242);
     u64 okRuns = 0;
@@ -300,8 +301,6 @@ TEST(IngestFuzz, FullSpineRejectsOrMapsNeverCrashes)
         if (iter > 0)
             mutate(rng, rng.chance(0.5) ? m1 : m2);
 
-        genpair::StreamingMapper spine(mapper, /*chunk_pairs=*/64,
-                                       /*io_threads=*/2);
         std::istringstream i1(m1), i2(m2);
         std::ostringstream out;
         genomics::SamWriter sam(out, ref);

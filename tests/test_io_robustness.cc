@@ -430,9 +430,9 @@ TEST(Cli, NumericParsing)
 {
     auto cli = parse({ "--threads", "8", "--rate", "0.25" },
                      { "--threads", "--rate" }, {});
-    EXPECT_EQ(cli.num("--threads", 0), 8);
+    EXPECT_EQ(cli.num<u32>("--threads", 0), 8u);
     EXPECT_DOUBLE_EQ(cli.real("--rate", 0.0), 0.25);
-    EXPECT_EQ(cli.num("--missing", 42), 42);
+    EXPECT_EQ(cli.num<u32>("--missing", 42), 42u);
     EXPECT_DOUBLE_EQ(cli.real("--missing", 1.5), 1.5);
 }
 
@@ -458,8 +458,30 @@ TEST(CliDeath, MissingRequiredExits)
 TEST(CliDeath, NonNumericValueExits)
 {
     auto cli = parse({ "--threads", "many" }, { "--threads" }, {});
-    EXPECT_EXIT(cli.num("--threads", 0), ::testing::ExitedWithCode(2),
+    EXPECT_EXIT(cli.num<u32>("--threads", 0), ::testing::ExitedWithCode(2),
                 "expects an integer");
+    auto empty = parse({ "--threads", "" }, { "--threads" }, {});
+    EXPECT_EXIT(empty.num<u32>("--threads", 0),
+                ::testing::ExitedWithCode(2), "expects an integer");
+}
+
+TEST(CliDeath, OutOfRangeValueExits)
+{
+    // Values are range-checked before they narrow: nothing wraps.
+    auto cli = parse({ "--threads", "-1", "--port", "70000", "--mib",
+                       "4096", "--big", "99999999999999999999" },
+                     { "--threads", "--port", "--mib", "--big" }, {});
+    EXPECT_EXIT(cli.num<u32>("--threads", 0), ::testing::ExitedWithCode(2),
+                "flag --threads expects an integer in \\[0, 4294967295\\], "
+                "got '-1'");
+    EXPECT_EXIT(cli.num<u16>("--port", 0), ::testing::ExitedWithCode(2),
+                "in \\[0, 65535\\], got '70000'");
+    EXPECT_EXIT(cli.num<u32>("--mib", 64, 4095),
+                ::testing::ExitedWithCode(2), "in \\[0, 4095\\], got '4096'");
+    EXPECT_EXIT(cli.num<u64>("--big", 0), ::testing::ExitedWithCode(2),
+                "got '99999999999999999999'");
+    EXPECT_EQ(cli.num<u64>("--port", 0), 70000u);
+    EXPECT_EQ(cli.num<u32>("--mib", 64, 4096), 4096u);
 }
 
 

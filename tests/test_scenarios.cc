@@ -183,7 +183,8 @@ TEST(ScenarioJson, DocumentCarriesTheGatedFields)
            "\"sam_matches_plain\"", "\"ambiguous_bases\"" })
         EXPECT_NE(doc.find(key), std::string::npos) << key;
     // Quotes and newlines inside diagnostics must be escaped.
-    EXPECT_NE(doc.find("truncated \\\"record\\\"\\n"), std::string::npos);
+    EXPECT_NE(doc.find("truncated \\\"record\\\"\\u000a"),
+              std::string::npos);
 }
 
 } // namespace

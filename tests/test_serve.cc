@@ -273,22 +273,25 @@ class ServeGoldenTest : public ::testing::Test
     void
     startServer(u32 threads = 2, u32 admission_slots = 2,
                 u32 max_pairs = serve::kDefaultMaxPairsPerRequest,
-                u32 io_threads = 1, u32 chunk_pairs = 1024)
+                u32 chunk_pairs = 1024)
     {
         socketPath_ = ::testing::TempDir() + "gpx_serve_test.sock";
-        serve::MountSpec spec;
-        spec.name = "golden";
-        spec.ref = &ref_;
-        spec.view = *map_;
+        std::vector<serve::MountSpec> specs;
+        for (const auto &name : mountNames_) {
+            serve::MountSpec spec;
+            spec.name = name;
+            spec.ref = &ref_;
+            spec.view = *map_;
+            specs.push_back(spec);
+        }
         serve::ServeConfig config;
         config.socketPath = socketPath_;
         config.threads = threads;
         config.admissionSlots = admission_slots;
         config.maxPairsPerRequest = max_pairs;
-        config.ioThreads = io_threads;
         config.chunkPairs = chunk_pairs;
-        server_ = std::make_unique<serve::ServeServer>(
-            std::vector<serve::MountSpec>{ spec }, config);
+        server_ = std::make_unique<serve::ServeServer>(std::move(specs),
+                                                       config);
         std::string error;
         ASSERT_TRUE(server_->start(&error)) << error;
     }
@@ -344,6 +347,8 @@ class ServeGoldenTest : public ::testing::Test
     std::unique_ptr<genpair::SeedMap> map_;
     std::unique_ptr<serve::ServeServer> server_;
     std::string socketPath_;
+    /** Mounts startServer() creates, all over the golden index. */
+    std::vector<std::string> mountNames_{ "golden" };
 };
 
 TEST_F(ServeGoldenTest, HelloAnnouncesMounts)
@@ -410,13 +415,12 @@ TEST_F(ServeGoldenTest, ConcurrentClientsEachReproducePinnedDigest)
 TEST_F(ServeGoldenTest, SpineConfigReproducesPinnedDigestOverSocket)
 {
     // Force every request through the full multi-queue spine: 16-pair
-    // chunks make each 64-pair batch span 4 sequence-numbered chunks,
-    // 2 parser threads race the reorder buffer, and 2 connections
-    // share the mount's pool. Bits must not move, and the aggregate
-    // stall counters must surface in the STATS frame.
+    // chunks make each 64-pair batch span 4 sequence-numbered chunks
+    // through the reorder buffer, and 2 connections share the mount's
+    // pool chunk by chunk. Bits must not move, and the aggregate stall
+    // counters must surface in the STATS frame.
     startServer(/*threads=*/2, /*admission_slots=*/2,
-                serve::kDefaultMaxPairsPerRequest, /*io_threads=*/2,
-                /*chunk_pairs=*/16);
+                serve::kDefaultMaxPairsPerRequest, /*chunk_pairs=*/16);
     std::vector<std::string> digests(2);
     std::vector<std::thread> threads;
     for (int c = 0; c < 2; ++c)
@@ -452,8 +456,7 @@ TEST_F(ServeGoldenTest, GzipRequestPayloadReproducesPinnedDigest)
     if (!util::gzipSupported())
         GTEST_SKIP() << "built without zlib";
     startServer(/*threads=*/2, /*admission_slots=*/2,
-                serve::kDefaultMaxPairsPerRequest, /*io_threads=*/2,
-                /*chunk_pairs=*/16);
+                serve::kDefaultMaxPairsPerRequest, /*chunk_pairs=*/16);
     auto client = connect();
     std::string doc;
     auto status = client.fetchHeader("", &doc);
@@ -557,6 +560,9 @@ TEST_F(ServeGoldenTest, OversizeBatchRejected)
 
 TEST_F(ServeGoldenTest, StatsFrameAggregatesServedRequests)
 {
+    // A second mount whose name needs JSON escaping: the STATS document
+    // must carry it as an escaped key, not break on it.
+    mountNames_ = { "golden", "a\"b\\c" };
     startServer();
     auto client = connect();
     serve::MapReplyBody reply;
@@ -571,6 +577,7 @@ TEST_F(ServeGoldenTest, StatsFrameAggregatesServedRequests)
     EXPECT_NE(json.find("\"pairs_mapped\": 16"), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"golden\""), std::string::npos);
+    EXPECT_NE(json.find("\"a\\\"b\\\\c\": {"), std::string::npos) << json;
     EXPECT_NE(json.find("\"requests_served\": 1"), std::string::npos);
 }
 

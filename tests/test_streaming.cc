@@ -1,19 +1,23 @@
 /**
  * @file
  * StreamingMapper tests: bit-identical results to the batch driver
- * across chunk sizes, stats aggregation, stream-mismatch failure, and
- * the incremental FastqReader.
+ * across chunk sizes, stats aggregation, stream-mismatch failure,
+ * concurrent runs on one mapper, and the incremental FastqReader.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include "genomics/fasta.hh"
 #include "genpair/streaming.hh"
 #include "simdata/datasets.hh"
 #include "util/gzip_stream.hh"
+#include "util/md5.hh"
 
 namespace {
 
@@ -340,6 +344,61 @@ TEST_F(StreamingTest, MismatchFatalNamesTheStreamThatEndedEarly)
             mapper.run(i1, i2, writer);
         },
         "R2 ended early after 1 records");
+}
+
+TEST(StreamingGolden, ConcurrentRunsOnOneMapperEachReproducePinnedDigest)
+{
+    // One owning mapper, three threads at once: each run keeps its
+    // threads, queues and counters to itself and takes turns on the
+    // pool inside mapAll(), so each reproduces the golden SAM (same
+    // pinned md5 as test_golden_corpus.cc) and counts only its pairs.
+    const std::string dir = GPX_GOLDEN_DIR;
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+    std::ifstream refFile(dir + "/ref.fa");
+    ASSERT_TRUE(refFile) << "missing golden reference in " << dir;
+    const genomics::Reference ref = genomics::readFasta(refFile);
+    const std::string r1 = slurp(dir + "/r1.fq"), r2 = slurp(dir + "/r2.fq");
+    const u64 pairs =
+        static_cast<u64>(std::count(r1.begin(), r1.end(), '\n')) / 4;
+    ASSERT_GT(pairs, 0u);
+    genpair::SeedMapParams params; // the pinned golden index parameters
+    params.seedLen = 50;
+    params.tableBits = 18;
+    params.filterThreshold = 500;
+    const genpair::SeedMap map(ref, params);
+    genpair::DriverConfig config;
+    config.threads = 2;
+    genpair::StreamingMapper mapper(ref, map, config, /*chunk_pairs=*/16,
+                                    /*io_threads=*/2);
+
+    constexpr int kRuns = 3;
+    std::vector<std::string> digests(kRuns);
+    std::vector<genpair::StreamingResult> results(kRuns);
+    std::vector<genpair::StreamRunStatus> statuses(kRuns);
+    std::vector<std::thread> runs;
+    for (int t = 0; t < kRuns; ++t)
+        runs.emplace_back([&, t] {
+            std::istringstream i1(r1), i2(r2);
+            std::ostringstream sam;
+            genomics::SamWriter writer(sam, ref);
+            writer.writeHeader();
+            statuses[t] = mapper.tryRun(i1, i2, writer, results[t]);
+            digests[t] = util::md5Hex(sam.str());
+        });
+    for (auto &run : runs)
+        run.join();
+    for (int t = 0; t < kRuns; ++t) {
+        EXPECT_EQ(statuses[t], genpair::StreamRunStatus::kOk);
+        EXPECT_EQ(digests[t], "6e4b292bd35bc3babd6ffd733c44612f")
+            << "run " << t;
+        EXPECT_EQ(results[t].pairs, pairs);
+        EXPECT_EQ(results[t].stats.pairsTotal, pairs) << "run " << t;
+    }
 }
 
 TEST(FastqReader, IncrementalMatchesBatch)

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <string>
 
+#include "util/json.hh"
 #include "util/md5.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -232,6 +233,17 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(s.find("alpha"), std::string::npos);
     EXPECT_NE(s.find("3.14"), std::string::npos);
     EXPECT_NE(s.find("=== demo ==="), std::string::npos);
+}
+
+TEST(JsonEscape, QuotesBackslashesAndEveryControlByte)
+{
+    EXPECT_EQ(jsonEscape("plain name"), "plain name");
+    EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+    EXPECT_EQ(jsonEscape("x\ny\tz\r"), "x\\u000ay\\u0009z\\u000d");
+    EXPECT_EQ(jsonEscape(std::string("\0\x01\x1f", 3)),
+              "\\u0000\\u0001\\u001f");
+    // DEL and UTF-8 bytes are legal inside a JSON string as they are.
+    EXPECT_EQ(jsonEscape("\x7f\xc3\xa9"), "\x7f\xc3\xa9");
 }
 
 TEST(Table, SiFormat)

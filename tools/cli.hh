@@ -8,11 +8,14 @@
 #ifndef GPX_TOOLS_CLI_HH
 #define GPX_TOOLS_CLI_HH
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/version.hh"
@@ -87,18 +90,32 @@ class Cli
         return flags_.at(flag);
     }
 
-    long long
-    num(const std::string &flag, long long fallback) const
+    /**
+     * Integer flag read as @p T. Anything but a whole number in
+     * [0, @p max] is a usage error; @p max defaults to T's maximum, so
+     * a value never wraps on its way into T.
+     */
+    template <typename T>
+    T
+    num(const std::string &flag, std::type_identity_t<T> fallback,
+        std::type_identity_t<T> max = std::numeric_limits<T>::max()) const
     {
         auto it = flags_.find(flag);
         if (it == flags_.end())
             return fallback;
+        const std::string &text = it->second;
         char *end = nullptr;
-        long long v = std::strtoll(it->second.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0')
-            die("flag " + flag + " expects an integer, got '" +
-                it->second + "'");
-        return v;
+        errno = 0;
+        const long long v = std::strtoll(text.c_str(), &end, 10);
+        if (end == text.c_str() || *end != '\0')
+            die("flag " + flag + " expects an integer, got '" + text +
+                "'");
+        if (errno == ERANGE || v < 0 ||
+            static_cast<unsigned long long>(v) >
+                static_cast<unsigned long long>(max))
+            die("flag " + flag + " expects an integer in [0, " +
+                std::to_string(max) + "], got '" + text + "'");
+        return static_cast<T>(v);
     }
 
     double

@@ -9,6 +9,7 @@
  * aggregate counters JSON, `--shutdown` asks the server to drain.
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -66,7 +67,7 @@ main(int argc, char **argv)
     if (cli.has("--port"))
         client = serve::ServeClient::connectTcp(
             cli.str("--host", "127.0.0.1"),
-            static_cast<u16>(cli.num("--port", 0)), &error);
+            cli.num<u16>("--port", 0), &error);
     else
         client = serve::ServeClient::connectUnix(
             cli.required("--socket"), &error);
@@ -97,9 +98,8 @@ main(int argc, char **argv)
     }
 
     serve::RetryPolicy retryPolicy;
-    retryPolicy.maxRetries = static_cast<u32>(cli.num("--retries", 0));
-    retryPolicy.backoffMs =
-        static_cast<u32>(cli.num("--backoff-ms", 50));
+    retryPolicy.maxRetries = cli.num<u32>("--retries", 0);
+    retryPolicy.backoffMs = cli.num<u32>("--backoff-ms", 50);
     client->setRetryPolicy(retryPolicy);
 
     const std::string refName = cli.str("--ref");
@@ -144,10 +144,7 @@ main(int argc, char **argv)
         gpx_fatal("header request failed: ", status.describe());
     emit(header);
 
-    const u64 batchPairs =
-        static_cast<u64>(cli.num("--batch", 4096)) == 0
-            ? 1
-            : static_cast<u64>(cli.num("--batch", 4096));
+    const u64 batchPairs = std::max<u64>(1, cli.num<u64>("--batch", 4096));
     genomics::FastqReader reader1(r1File);
     genomics::FastqReader reader2(r2File);
     u64 pairs = 0, requests = 0;

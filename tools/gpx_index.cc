@@ -62,12 +62,11 @@ main(int argc, char **argv)
                 ref.numChromosomes());
 
     genpair::SeedMapParams params;
-    params.seedLen = static_cast<u32>(cli.num("--seed-len", 50));
-    params.tableBits = static_cast<u32>(cli.num("--table-bits", 0));
-    params.filterThreshold =
-        static_cast<u32>(cli.num("--filter-threshold", 500));
+    params.seedLen = cli.num<u32>("--seed-len", 50);
+    params.tableBits = cli.num<u32>("--table-bits", 0);
+    params.filterThreshold = cli.num<u32>("--filter-threshold", 500);
 
-    u32 threads = static_cast<u32>(cli.num("--threads", 0));
+    u32 threads = cli.num<u32>("--threads", 0);
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
 
@@ -93,7 +92,7 @@ main(int argc, char **argv)
     std::ofstream out(outPath, std::ios::binary);
     if (!out)
         gpx_fatal("cannot open output: ", outPath);
-    u32 shards = static_cast<u32>(cli.num("--shards", 0));
+    u32 shards = cli.num<u32>("--shards", 0);
     if (shards == 0)
         shards = std::bit_ceil(threads);
     genpair::saveSeedMapV2(out, map, shards);

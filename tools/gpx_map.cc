@@ -121,11 +121,10 @@ main(int argc, char **argv)
                     image->shardCount() == 1 ? "" : "s");
     } else {
         genpair::SeedMapParams sp;
-        sp.filterThreshold =
-            static_cast<u32>(cli.num("--filter-threshold", 500));
+        sp.filterThreshold = cli.num<u32>("--filter-threshold", 500);
         util::Stopwatch watch;
         built = std::make_unique<genpair::SeedMap>(genpair::SeedMap::build(
-            ref, sp, static_cast<u32>(cli.num("--threads", 0))));
+            ref, sp, cli.num<u32>("--threads", 0)));
         map = *built;
         std::printf("built SeedMap inline in %.2f s\n", watch.seconds());
     }
@@ -154,14 +153,13 @@ main(int argc, char **argv)
         // SS4.7: pseudo-pair decomposition + Location Voting + DP,
         // chunk-streamed through the parallel LongReadDriver.
         genpair::LongReadParams lrParams;
-        lrParams.delta = static_cast<u32>(cli.num("--delta", 500));
+        lrParams.delta = cli.num<u32>("--delta", 500);
         genpair::LongReadDriver driver(
             ref, map, lrParams, baseline::Mm2LiteParams{},
-            static_cast<u32>(cli.num("--threads", 0)));
+            cli.num<u32>("--threads", 0));
         // Long reads are ~60x a short pair; keep the resident chunk
         // small unless the user asked otherwise.
-        const u64 chunkReads = static_cast<u64>(
-            cli.has("--chunk") ? cli.num("--chunk", 4096) : 4096);
+        const u64 chunkReads = cli.num<u64>("--chunk", 4096);
         genomics::FastqReader reader(longFile);
         genpair::LongReadStats stats;
         double mapSeconds = 0;
@@ -217,8 +215,8 @@ main(int argc, char **argv)
 
     // Map in bounded-memory chunks.
     genpair::DriverConfig config;
-    config.threads = static_cast<u32>(cli.num("--threads", 0));
-    config.pipeline.delta = static_cast<u32>(cli.num("--delta", 500));
+    config.threads = cli.num<u32>("--threads", 0);
+    config.pipeline.delta = cli.num<u32>("--delta", 500);
     config.useGenPair = !cli.has("--baseline");
 
     // Stage-event trace (hwsim co-simulation hand-off).
@@ -241,8 +239,8 @@ main(int argc, char **argv)
     }
 
     genpair::StreamingMapper mapper(
-        ref, map, config, static_cast<u64>(cli.num("--chunk", 65536)),
-        static_cast<u32>(cli.num("--io-threads", 1)));
+        ref, map, config, cli.num<u64>("--chunk", 65536),
+        cli.num<u32>("--io-threads", 1));
     auto result = mapper.run(r1File, r2File, sam, traceSink);
     os->flush();
     if (traceFile.is_open()) {

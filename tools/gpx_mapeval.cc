@@ -87,8 +87,7 @@ main(int argc, char **argv)
     std::printf("SAM: %zu records (%zu malformed lines skipped)\n",
                 sam.records.size(), sam.badLines.size());
 
-    const u64 tolerance =
-        static_cast<u64>(cli.num("--tolerance", 20));
+    const u64 tolerance = cli.num<u64>("--tolerance", 20);
 
     // Read names in SAM lack the /1 /2 suffix convention of the truth
     // table when pairs share a name; try both.

@@ -33,7 +33,6 @@ const char kUsage[] =
     "                   (floors are recorded at scale 1; the\n"
     "                   checker SKIPs reduced-scale runs)\n"
     "  --threads N      mapper threads (0 = hardware)         [0]\n"
-    "  --io-threads N   spine parser threads                  [2]\n"
     "  --work-dir DIR   scratch dir for image files           [.]\n"
     "  --version        print the gpx version and exit\n";
 
@@ -45,7 +44,7 @@ main(int argc, char **argv)
     using namespace gpx;
     tools::Cli cli(argc, argv,
                    { "--json", "--only", "--scale", "--threads",
-                     "--io-threads", "--work-dir" },
+                     "--work-dir" },
                    { "--list" }, kUsage);
 
     const auto &table = scenario::scenarioTable();
@@ -60,8 +59,7 @@ main(int argc, char **argv)
     options.scale = cli.real("--scale", 1.0);
     if (options.scale <= 0)
         gpx_fatal("--scale must be positive");
-    options.threads = static_cast<u32>(cli.num("--threads", 0));
-    options.ioThreads = static_cast<u32>(cli.num("--io-threads", 2));
+    options.threads = cli.num<u32>("--threads", 0);
     options.workDir = cli.str("--work-dir");
 
     std::vector<const scenario::ScenarioSpec *> selected;

@@ -3,7 +3,7 @@
  * gpx_serve — the resident mapping daemon: mount one or more SeedMap
  * v2 images once (zero-copy mmap, kernel-shared pages), keep the
  * persistent worker pools warm, and serve concurrent mapping requests
- * over gpx-serve-proto v1 on a Unix or TCP socket until told to drain
+ * over gpx-serve-proto v2 on a Unix or TCP socket until told to drain
  * (SIGTERM/SIGINT or a client SHUTDOWN frame).
  *
  * Every mapping request is bit-identical to a gpx_map run over the
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <poll.h>
 #include <thread>
@@ -45,11 +46,9 @@ const char kUsage[] =
     "  --port N             listen on TCP 127.0.0.1:N instead\n"
     "                       (0 = kernel-assigned, printed at start)\n"
     "  --threads N          worker threads per mount (0 = hardware) [0]\n"
-    "  --io-threads N       FASTQ parser threads of each request's\n"
-    "                       I/O spine                             [1]\n"
     "  --queue N            admission slots: requests mapping or\n"
     "                       queued; more block in their sockets   [4]\n"
-    "  --max-frame-mib N    per-frame size limit                 [64]\n"
+    "  --max-frame-mib N    per-frame size limit (<= 4095)       [64]\n"
     "  --max-pairs N        per-request pair limit            [65536]\n"
     "  --idle-timeout N     close connections idle for N seconds\n"
     "                       (0 = never)                           [0]\n"
@@ -138,7 +137,7 @@ main(int argc, char **argv)
     using namespace gpx;
     tools::Cli cli(argc, argv,
                    { "--ref", "--index", "--mount", "--socket", "--port",
-                     "--threads", "--io-threads", "--queue",
+                     "--threads", "--queue",
                      "--max-frame-mib", "--max-pairs",
                      "--idle-timeout", "--conn-timeout",
                      "--queue-timeout", "--retry-after",
@@ -165,6 +164,25 @@ main(int argc, char **argv)
                   "--mount");
     if (!cli.has("--socket") && !cli.has("--port"))
         gpx_fatal("give a --socket path or a --port to listen on");
+
+    serve::ServeConfig config;
+    config.socketPath = cli.str("--socket");
+    // Flags scaled on their way into a u32 cap what the scaling can
+    // hold (4095 MiB, and seconds that fit in u32 milliseconds).
+    constexpr u32 kMaxSeconds = std::numeric_limits<u32>::max() / 1000;
+    config.port = cli.num<u16>("--port", 0);
+    config.threads = cli.num<u32>("--threads", 0);
+    config.admissionSlots = cli.num<u32>("--queue", 4);
+    config.maxFrameBytes = cli.num<u32>("--max-frame-mib", 64, 4095) << 20;
+    config.maxPairsPerRequest = cli.num<u32>("--max-pairs", 65536);
+    config.idleTimeoutMs =
+        cli.num<u32>("--idle-timeout", 0, kMaxSeconds) * 1000;
+    config.connTimeoutMs =
+        cli.num<u32>("--conn-timeout", 0, kMaxSeconds) * 1000;
+    config.queueTimeoutMs = cli.num<u32>("--queue-timeout", 0);
+    config.retryAfterMs = cli.num<u32>("--retry-after", 100);
+    const int statsEvery = cli.num<int>(
+        "--stats-every", 0, std::numeric_limits<int>::max() / 1000);
 
     // Mount everything up front: this is the cold start the daemon
     // pays exactly once, instead of every gpx_map run paying it.
@@ -206,37 +224,15 @@ main(int argc, char **argv)
                          loaded[i].image->shardCount() == 1 ? "" : "s");
         } else {
             genpair::SeedMapParams sp;
-            sp.filterThreshold = static_cast<u32>(
-                cli.num("--filter-threshold", 500));
+            sp.filterThreshold = cli.num<u32>("--filter-threshold", 500);
             loaded[i].built = std::make_unique<genpair::SeedMap>(
-                genpair::SeedMap::build(
-                    loaded[i].ref, sp,
-                    static_cast<u32>(cli.num("--threads", 0))));
+                genpair::SeedMap::build(loaded[i].ref, sp, config.threads));
             spec.view = *loaded[i].built;
             std::fprintf(stderr, "mounted %s: %s (index built inline)\n",
                          files.name.c_str(), files.refPath.c_str());
         }
         specs.push_back(spec);
     }
-
-    serve::ServeConfig config;
-    config.socketPath = cli.str("--socket");
-    config.port = static_cast<u16>(cli.num("--port", 0));
-    config.threads = static_cast<u32>(cli.num("--threads", 0));
-    config.admissionSlots = static_cast<u32>(cli.num("--queue", 4));
-    config.maxFrameBytes = static_cast<u32>(
-        cli.num("--max-frame-mib", 64) << 20);
-    config.maxPairsPerRequest =
-        static_cast<u32>(cli.num("--max-pairs", 65536));
-    config.ioThreads = static_cast<u32>(cli.num("--io-threads", 1));
-    config.idleTimeoutMs =
-        static_cast<u32>(cli.num("--idle-timeout", 0) * 1000);
-    config.connTimeoutMs =
-        static_cast<u32>(cli.num("--conn-timeout", 0) * 1000);
-    config.queueTimeoutMs =
-        static_cast<u32>(cli.num("--queue-timeout", 0));
-    config.retryAfterMs =
-        static_cast<u32>(cli.num("--retry-after", 100));
 
     serve::ServeServer server(std::move(specs), config);
     std::string error;
@@ -263,14 +259,11 @@ main(int argc, char **argv)
     std::signal(SIGINT, onShutdownSignal);
     std::signal(SIGHUP, onRefreshSignal);
 
-    const long statsEvery = cli.num("--stats-every", 0);
     std::atomic<bool> exiting{ false };
     std::thread monitor([&]() {
         for (;;) {
             pollfd pfd{ gSignalPipe[0], POLLIN, 0 };
-            int timeoutMs = statsEvery > 0
-                                ? static_cast<int>(statsEvery * 1000)
-                                : -1;
+            int timeoutMs = statsEvery > 0 ? statsEvery * 1000 : -1;
             int rc = poll(&pfd, 1, timeoutMs);
             if (rc > 0) {
                 char byte = 's';

@@ -58,9 +58,9 @@ main(int argc, char **argv)
     const std::string prefix = cli.required("--out");
 
     simdata::GenomeParams gp;
-    gp.length = static_cast<u64>(cli.num("--length", 4194304));
-    gp.chromosomes = static_cast<u32>(cli.num("--chromosomes", 2));
-    gp.seed = static_cast<u64>(cli.num("--seed", 23));
+    gp.length = cli.num<u64>("--length", 4194304);
+    gp.chromosomes = cli.num<u32>("--chromosomes", 2);
+    gp.seed = cli.num<u64>("--seed", 23);
     std::printf("generating %llu bp genome across %u chromosomes...\n",
                 static_cast<unsigned long long>(gp.length),
                 gp.chromosomes);
@@ -86,8 +86,7 @@ main(int argc, char **argv)
             lp.errors = simdata::ErrorProfile::uniform(
                 cli.real("--error-rate", 0.005));
         simdata::LongReadSimulator sim(diploid, lp);
-        auto reads = sim.simulate(
-            static_cast<u64>(cli.num("--pairs", 1000)));
+        auto reads = sim.simulate(cli.num<u64>("--pairs", 1000));
         std::ofstream fq(prefix + ".fq");
         if (!fq)
             gpx_fatal("cannot open ", prefix, ".fq for writing");
@@ -107,7 +106,7 @@ main(int argc, char **argv)
     }
 
     simdata::ReadSimParams rp;
-    rp.readLen = static_cast<u32>(cli.num("--read-len", 150));
+    rp.readLen = cli.num<u32>("--read-len", 150);
     rp.insertMean = cli.real("--insert-mean", rp.insertMean);
     rp.insertSd = cli.real("--insert-sd", rp.insertSd);
     rp.seed = gp.seed + 2;
@@ -115,7 +114,7 @@ main(int argc, char **argv)
         rp.errors =
             simdata::ErrorProfile::uniform(cli.real("--error-rate", 0.001));
     simdata::ReadSimulator sim(diploid, rp);
-    const u64 numPairs = static_cast<u64>(cli.num("--pairs", 100000));
+    const u64 numPairs = cli.num<u64>("--pairs", 100000);
     auto pairs = sim.simulate(numPairs);
 
     std::vector<genomics::Read> r1, r2;
