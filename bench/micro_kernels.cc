@@ -57,6 +57,17 @@ sharedMap()
     return map;
 }
 
+/** A 150 bp read with a realistic sprinkle of edits vs its origin. */
+genomics::DnaSequence
+editedRead(u64 origin)
+{
+    auto read = sharedRef().chromosome(0).sub(origin, 150);
+    read.set(40, (read.at(40) + 1) & 3u);
+    read.set(77, (read.at(77) + 2) & 3u);
+    read.set(121, (read.at(121) + 1) & 3u);
+    return read;
+}
+
 void
 BM_Xxh32Seed(benchmark::State &state)
 {
@@ -152,12 +163,46 @@ ShdMasksBatch8(benchmark::State &state, util::SimdBackend backend)
 }
 
 /**
+ * The interleaved DP fallback on one full AVX-512 lane group (two AVX2
+ * groups, 32 scalar alignments) of production-shaped full-DP tasks:
+ * 150 bp reads with three edits each, in 246 bp windows (slack 48)
+ * with band 128. items_per_second counts alignments.
+ */
+void
+FitAlignBatch(benchmark::State &state, util::SimdBackend backend)
+{
+    const util::SimdBackend prev = util::activeSimdBackend();
+    util::forceSimdBackend(backend);
+    constexpr u32 kTasks = 32;
+    const auto scheme = genomics::ScoringScheme::shortRead();
+    std::vector<genomics::DnaSequence> reads, windows;
+    for (u32 t = 0; t < kTasks; ++t) {
+        const u64 origin = 100000 + 1000 * t;
+        reads.push_back(editedRead(origin));
+        windows.push_back(sharedRef().chromosome(0).sub(origin - 48, 246));
+    }
+    std::vector<align::FitTask> tasks;
+    for (u32 t = 0; t < kTasks; ++t)
+        tasks.push_back({ reads[t], windows[t], 128 });
+    align::BatchAlignScratch scratch;
+    std::vector<align::AlignResult> out(kTasks);
+    for (auto _ : state) {
+        align::fitAlignBatch(tasks.data(), kTasks, scheme, scratch,
+                             out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kTasks);
+    util::forceSimdBackend(prev);
+}
+
+/**
  * Register one batch row per supported backend and surface the
  * dispatch provenance in the JSON context block. ISA-dependent rows
  * ("/avx*") are optional in check_kernel_regression.py, so a baseline
  * recorded on a wider host still gates on narrower CI runners.
  */
-const bool registeredShdBatch = [] {
+const bool registeredBatchRows = [] {
     benchmark::AddCustomContext(
         "simd_backend",
         util::simdBackendName(util::activeSimdBackend()));
@@ -167,9 +212,11 @@ const bool registeredShdBatch = [] {
            util::SimdBackend::Avx512 }) {
         if (b > util::maxSimdBackend())
             continue;
-        std::string name =
-            std::string("BM_ShdMasksBatch8/") + util::simdBackendName(b);
-        benchmark::RegisterBenchmark(name.c_str(), ShdMasksBatch8, b);
+        const std::string isa = util::simdBackendName(b);
+        benchmark::RegisterBenchmark(("BM_ShdMasksBatch8/" + isa).c_str(),
+                                     ShdMasksBatch8, b);
+        benchmark::RegisterBenchmark(("BM_FitAlignBatch/" + isa).c_str(),
+                                     FitAlignBatch, b);
     }
     return true;
 }();
@@ -256,17 +303,6 @@ BENCHMARK(BM_GrimFilterQuery);
 // ---------------------------------------------------------------------------
 // Before/after rows for the bit-parallel sequence kernels.
 // ---------------------------------------------------------------------------
-
-/** A 150 bp read with a realistic sprinkle of edits vs its origin. */
-genomics::DnaSequence
-editedRead(u64 origin)
-{
-    auto read = sharedRef().chromosome(0).sub(origin, 150);
-    read.set(40, (read.at(40) + 1) & 3u);
-    read.set(77, (read.at(77) + 2) & 3u);
-    read.set(121, (read.at(121) + 1) & 3u);
-    return read;
-}
 
 void
 BM_EditDistance150Scalar(benchmark::State &state)

@@ -35,7 +35,7 @@ runReference(const DnaView &query, const DnaView &target,
     if (m == 0 || n == 0)
         return out;
 
-    gpx_assert((m + 1) * (n + 1) <= (1ull << 27),
+    gpx_assert((m + 1) * (n + 1) <= kMaxDpCells,
                "DP matrix too large; use banding or smaller windows");
 
     std::vector<u8> tb((m + 1) * (n + 1), 0);
@@ -223,7 +223,7 @@ runBranchless(const DnaView &query, const DnaView &target,
     if (m == 0 || n == 0)
         return out;
 
-    gpx_assert((m + 1) * (n + 1) <= (1ull << 27),
+    gpx_assert((m + 1) * (n + 1) <= kMaxDpCells,
                "DP matrix too large; use banding or smaller windows");
 
     scr.traceback.assign((m + 1) * (n + 1), 0);
@@ -411,6 +411,8 @@ AlignResult
 fitAlign(const DnaView &query, const DnaView &target,
          const ScoringScheme &scheme, i32 band, AlignScratch &scratch)
 {
+    if ((query.size() + 1) * (target.size() + 1) > kMaxDpCells)
+        return AlignResult{}; // over the cap: unaligned, not an abort
     EngineResult r =
         runBranchless<Mode::Fit>(query, target, scheme, band, scratch);
     AlignResult out;

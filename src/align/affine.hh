@@ -63,6 +63,10 @@ struct AlignResult
  * @param scheme Scoring parameters.
  * @param band Optional band half-width around the main diagonal;
  *             negative disables banding.
+ *
+ * Read lengths are outside input: when the (m+1) x (n+1) traceback
+ * matrix would exceed 2^27 cells (reads of roughly 11.5 kbp and up),
+ * the result is invalid with zero cells rather than a process abort.
  */
 AlignResult fitAlign(const genomics::DnaView &query,
                      const genomics::DnaView &target,
@@ -79,7 +83,7 @@ AlignResult fitAlign(const genomics::DnaView &query,
  * The seed (pre-optimization) fitting-alignment engine, kept verbatim
  * as the correctness oracle for the branchless banded engine above —
  * the same pattern the bit-parallel kernels use for their scalar
- * oracles. Also the honest "pre-refactor" side of bench/micro_stage_batch.
+ * oracles. Only tests call it (test_stages pins fitAlign against it).
  */
 AlignResult fitAlignRef(const genomics::DnaView &query,
                         const genomics::DnaView &target,
@@ -97,34 +101,40 @@ struct FitTask
 
 /**
  * Working set of the interleaved batch engine: lane-major (struct-of-
- * lanes) H/E/F rows, decoded operands and the lane-major traceback
- * matrix, plus a scalar AlignScratch for the portable backend. Sized
- * by the widest lane group seen; reuse across calls is allocation-free
- * once warm.
+ * lanes) i16 H/F rows, decoded operands and the lane-major traceback
+ * matrix, plus a scalar AlignScratch for the scalar backend and for
+ * groups outside the i16 range. One set serves both lane widths; it
+ * is sized by the largest lane group seen (each buffer starts at a
+ * 64-byte boundary inside its vector) and reuse across calls is
+ * allocation-free once warm.
  */
 struct BatchAlignScratch
 {
     std::vector<u8> traceback; ///< [(i*(nMax+1)+j)*L + lane]
-    std::vector<i32> queryCodes;  ///< [(i-1)*L + lane]
-    std::vector<i32> targetCodes; ///< [(j-1)*L + lane]
-    std::vector<i32> hPrev;
-    std::vector<i32> hCur;
-    std::vector<i32> f1;
-    std::vector<i32> f2;
+    std::vector<i16> queryCodes;  ///< [(i-1)*L + lane]
+    std::vector<i16> targetCodes; ///< [(j-1)*L + lane]
+    std::vector<i16> hPrev;
+    std::vector<i16> hCur;
+    std::vector<i16> f1;
+    std::vector<i16> f2;
     std::vector<u8> decodeTmp; ///< contiguous decode staging
-    AlignScratch scalar;       ///< SimdBackend::Scalar fallback path
+    AlignScratch scalar;       ///< scalar backend and out-of-range groups
 };
 
 /**
  * Fitting alignment of @p count independent tasks, interleaved across
  * SIMD lanes: out[i] is bit-identical to
  * fitAlign(tasks[i].query, tasks[i].target, scheme, tasks[i].band) —
- * lanes never exchange data, each computes exactly the scalar engine's
- * arithmetic — but consecutive tasks with equal query length advance
- * in lockstep through one band sweep (8 lanes under AVX2, 16 under
- * AVX-512; per-lane masking covers ragged target lengths and bands).
- * The active util::SimdBackend picks the lane width; the scalar
- * backend runs the production scalar engine per task.
+ * lanes never exchange data, each computes the scalar engine's
+ * recurrence in exact 16-bit arithmetic — but consecutive tasks with
+ * equal query length advance in lockstep through one band sweep (16
+ * lanes under AVX2; 32 under AVX-512, where a group of at most 16
+ * runs the 16-lane kernel; per-lane masking covers ragged target
+ * lengths and bands). The active util::SimdBackend picks the lane
+ * width. The scalar backend, any group whose score bound does not fit
+ * i16 (m + widest window > 990 under the sr preset) and any group whose
+ * lane-major traceback would pass the 2^27-byte matrix cap run the
+ * scalar fitAlign per task, over-cap tasks included.
  */
 void fitAlignBatch(const FitTask *tasks, std::size_t count,
                    const genomics::ScoringScheme &scheme,

@@ -28,6 +28,9 @@ namespace affine_detail {
 
 constexpr i32 kNegInf = std::numeric_limits<i32>::min() / 4;
 
+/** Largest (m+1) x (n+1) traceback matrix an engine allocates. */
+constexpr u64 kMaxDpCells = u64{ 1 } << 27;
+
 /** Alignment boundary conditions. */
 enum class Mode { Global, Fit, Local };
 

@@ -1,6 +1,8 @@
 #include "baseline/mm2lite.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -33,6 +35,72 @@ clampWindow(const genomics::Reference &ref, GlobalPos pos, u64 len,
     u64 hi = std::min<u64>(chromLen, cp.offset + len + slack);
     GlobalPos start = ref.chromosomeStart(cp.chrom) + lo;
     return { start, hi > lo ? hi - lo : 0 };
+}
+
+/**
+ * What a DP task depends on: the query (one sequence per read and
+ * strand), the window and the band. Equal keys give equal results.
+ */
+struct TaskKey
+{
+    std::uintptr_t query = 0;
+    GlobalPos wstart = 0;
+    u64 wlen = 0;
+    i32 band = 0;
+
+    auto operator<=>(const TaskKey &) const = default;
+};
+
+TaskKey
+taskKey(const DnaSequence &query, GlobalPos wstart, u64 wlen, i32 band)
+{
+    return { reinterpret_cast<std::uintptr_t>(&query), wstart, wlen,
+             band };
+}
+
+/**
+ * Run the distinct tasks of @p tasks through one fitAlignBatch() and
+ * copy each result into every slot of its key, so results[t] is what
+ * aligning tasks[t] on its own gives (repeats are common: two chains
+ * with the same expected start build the same window).
+ */
+void
+alignDistinct(const std::vector<align::FitTask> &tasks,
+              const std::vector<TaskKey> &keys,
+              const genomics::ScoringScheme &scheme,
+              align::BatchAlignScratch &scratch,
+              std::vector<align::AlignResult> &results)
+{
+    const std::size_t count = tasks.size();
+    std::vector<u32> order(count);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
+        return keys[a] < keys[b];
+    });
+    // first[t]: the earliest slot with tasks[t]'s key.
+    std::vector<u32> first(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        const u32 t = order[k];
+        first[t] = k > 0 && keys[order[k - 1]] == keys[t]
+                       ? first[order[k - 1]]
+                       : t;
+    }
+    std::vector<align::FitTask> distinct;
+    std::vector<u32> slot(count); ///< index into distinct
+    for (u32 t = 0; t < count; ++t) {
+        if (first[t] == t) {
+            slot[t] = static_cast<u32>(distinct.size());
+            distinct.push_back(tasks[t]);
+        } else {
+            slot[t] = slot[first[t]];
+        }
+    }
+    std::vector<align::AlignResult> once(distinct.size());
+    align::fitAlignBatch(distinct.data(), distinct.size(), scheme, scratch,
+                         once.data());
+    results.resize(count);
+    for (std::size_t t = 0; t < count; ++t)
+        results[t] = once[slot[t]];
 }
 
 } // namespace
@@ -293,6 +361,7 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
         GlobalPos wstart;
     };
     std::vector<align::FitTask> tasks;
+    std::vector<TaskKey> keys;
     std::vector<TaskRef> refs;
     std::vector<align::AlignResult> results;
     {
@@ -326,14 +395,13 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
                     ft.band =
                         static_cast<i32>(2 * params_.alignSlack + 32);
                     tasks.push_back(ft);
+                    keys.push_back(taskKey(*query, wstart, wlen, ft.band));
                     refs.push_back({ static_cast<u32>(2 * p + side), ci,
                                      wstart });
                 }
             }
         }
-        results.resize(tasks.size());
-        align::fitAlignBatch(tasks.data(), tasks.size(), params_.scoring,
-                             batchScratch_, results.data());
+        alignDistinct(tasks, keys, params_.scoring, batchScratch_, results);
 
         // Scalar epilogue per task, replayed in visit order.
         for (std::size_t t = 0; t < tasks.size(); ++t) {

@@ -75,12 +75,15 @@ class Mm2Lite
 
     /**
      * Map @p count pairs through the interleaved DP engine: every
-     * chain alignment of every read in the batch joins one
-     * align::fitAlignBatch() run, so length-uniform short-read batches
-     * fill all SIMD lanes across read and pair boundaries. Per-pair
-     * results are bit-identical to mapPair() — the seeding, chaining,
-     * filtering and pairing logic is shared code, and the batch DP
-     * engine is lane-exact against the scalar one.
+     * distinct chain alignment (read, strand, window, band) of every
+     * read in the batch joins one align::fitAlignBatch() run, so
+     * length-uniform short-read batches fill all SIMD lanes across
+     * read and pair boundaries, and chains that share a window align
+     * it once. Per-pair results and dpWork() are identical to mapPair()
+     * — the seeding, chaining, filtering and pairing logic is shared
+     * code, a repeated window's result is copied to each of its chains
+     * (and counted for each), and the batch DP engine is lane-exact
+     * against the scalar one.
      */
     void mapPairsBatch(const genomics::ReadPair *const *pairs,
                        std::size_t count, genomics::PairMapping *out);

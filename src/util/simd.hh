@@ -76,13 +76,17 @@ const std::string &simdBackendReason();
  */
 SimdBackend forceSimdBackend(SimdBackend backend);
 
-/** DP lanes interleaved per band sweep under @p b (1 / 8 / 16). */
+/**
+ * Widest DP lane group (i16 lanes per register) under @p b: 1 / 16 /
+ * 32. Under AVX-512 a group of at most 16 tasks runs the 16-lane
+ * kernel.
+ */
 inline u32
 simdDpLanes(SimdBackend b)
 {
     switch (b) {
-    case SimdBackend::Avx512: return 16;
-    case SimdBackend::Avx2: return 8;
+    case SimdBackend::Avx512: return 32;
+    case SimdBackend::Avx2: return 16;
     case SimdBackend::Scalar: break;
     }
     return 1;

@@ -11,6 +11,7 @@
 #include "simdata/datasets.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
+#include "util/rng.hh"
 
 namespace {
 
@@ -186,6 +187,69 @@ TEST_F(Mm2LiteTest, DpWorkCounted)
     read.seq = ref_.chromosome(0).sub(12345, 150);
     mapper_->mapRead(read);
     EXPECT_GT(mapper_->dpWork().alignCells, 0u);
+}
+
+/** Field-by-field equality of two read mappings. */
+void
+expectSameMapping(const genomics::Mapping &a, const genomics::Mapping &b)
+{
+    EXPECT_EQ(a.mapped, b.mapped);
+    EXPECT_EQ(a.pos, b.pos);
+    EXPECT_EQ(a.reverse, b.reverse);
+    EXPECT_EQ(a.score, b.score);
+    EXPECT_EQ(a.cigar.toString(), b.cigar.toString());
+}
+
+TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
+{
+    // A 2.4 kbp tandem repeat of a 24 bp unit (a few point mutations
+    // apart) inside random sequence: reads in it chain against many
+    // copies, and chains with the same expected start build the same
+    // alignment window, which mapPairsBatch aligns once.
+    util::Pcg32 rng(77);
+    std::string chrom;
+    for (int i = 0; i < 20000; ++i)
+        chrom.push_back(genomics::baseToChar(rng.below(4)));
+    std::string unit;
+    for (int i = 0; i < 24; ++i)
+        unit.push_back(genomics::baseToChar(rng.below(4)));
+    for (int copy = 0; copy < 100; ++copy) {
+        std::string u = unit;
+        if (rng.below(3) == 0)
+            u[rng.below(24)] = genomics::baseToChar(rng.below(4));
+        chrom += u;
+    }
+    for (int i = 0; i < 20000; ++i)
+        chrom.push_back(genomics::baseToChar(rng.below(4)));
+    Reference ref;
+    ref.addChromosome("chr1", DnaSequence(chrom));
+
+    std::vector<genomics::ReadPair> pairs;
+    for (u64 start = 19600; start < 22300; start += 45) {
+        genomics::ReadPair pair;
+        pair.first.seq = ref.chromosome(0).sub(start, 150);
+        pair.second.seq = ref.chromosome(0).sub(start + 260, 150).revComp();
+        if (start % 2)
+            pair.first.seq.set(70, (pair.first.seq.at(70) + 1) & 3u);
+        pairs.push_back(std::move(pair));
+    }
+
+    Mm2Lite single(ref, Mm2LiteParams{});
+    Mm2Lite batched(ref, Mm2LiteParams{});
+    std::vector<const genomics::ReadPair *> ptrs;
+    for (const auto &p : pairs)
+        ptrs.push_back(&p);
+    std::vector<genomics::PairMapping> got(pairs.size());
+    batched.mapPairsBatch(ptrs.data(), ptrs.size(), got.data());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        SCOPED_TRACE("pair " + std::to_string(i));
+        const genomics::PairMapping want = single.mapPair(pairs[i]);
+        EXPECT_EQ(want.path, got[i].path);
+        expectSameMapping(want.first, got[i].first);
+        expectSameMapping(want.second, got[i].second);
+    }
+    EXPECT_EQ(single.dpWork().alignCells, batched.dpWork().alignCells);
+    EXPECT_EQ(single.dpWork().chainCells, batched.dpWork().chainCells);
 }
 
 TEST(Mm2LiteSimulated, HighAccuracyOnSimulatedPairs)

@@ -172,6 +172,41 @@ TEST_F(DriverTest, ConcurrentMapAllCallsEachMatchACallMadeAlone)
     }
 }
 
+TEST_F(DriverTest, LongPairOverTheDpCapIsReportedUnmapped)
+{
+    // A 20 kbp pair needs a (m+1) x (n+1) DP matrix past the engines'
+    // 2^27-cell cap. Read lengths are outside input, so the pair maps
+    // as unmapped instead of aborting the process, and the pairs
+    // around it map exactly as they do without it.
+    genomics::ReadPair longPair;
+    longPair.first.name = "long";
+    longPair.first.seq = ref_.chromosome(0).sub(100000, 20000);
+    longPair.second.name = "long";
+    longPair.second.seq = ref_.chromosome(0).sub(120300, 20000).revComp();
+    std::vector<genomics::ReadPair> input(pairs_.begin(),
+                                          pairs_.begin() + 40);
+    input.insert(input.begin() + 20, longPair);
+
+    DriverConfig cfg;
+    cfg.threads = 2;
+    ParallelMapper mapper(ref_, *map_, cfg);
+    const auto with = mapper.mapAll(input);
+    ASSERT_EQ(with.mappings.size(), input.size());
+    EXPECT_FALSE(with.mappings[20].first.mapped);
+    EXPECT_FALSE(with.mappings[20].second.mapped);
+
+    input.erase(input.begin() + 20);
+    const auto without = mapper.mapAll(input);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        const auto &a = without.mappings[i];
+        const auto &b = with.mappings[i < 20 ? i : i + 1];
+        EXPECT_EQ(a.first.pos, b.first.pos) << i;
+        EXPECT_EQ(a.second.pos, b.second.pos) << i;
+        EXPECT_EQ(a.first.score, b.first.score) << i;
+        EXPECT_EQ(a.path, b.path) << i;
+    }
+}
+
 TEST_F(DriverTest, EmptyInputYieldsEmptyResult)
 {
     DriverConfig cfg;

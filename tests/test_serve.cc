@@ -528,6 +528,42 @@ TEST_F(ServeGoldenTest, MalformedFastqRejectedConnectionSurvives)
     EXPECT_EQ(server_->counters().requestsRejected, 3u);
 }
 
+TEST_F(ServeGoldenTest, LongPairOverTheDpCapIsAnsweredUnmapped)
+{
+    // 12 kbp mates need a DP matrix past the engines' 2^27-cell cap.
+    // The daemon answers the pair as unmapped instead of aborting, and
+    // the next request on the same connection still maps the corpus to
+    // the pinned bits.
+    startServer();
+    auto client = connect();
+    genomics::Read r1, r2;
+    r1.name = r2.name = "long";
+    r1.seq = ref_.chromosome(0).sub(1000, 12000);
+    r2.seq = ref_.chromosome(0).sub(13300, 12000).revComp();
+    std::ostringstream fq1, fq2;
+    genomics::writeFastq(fq1, { r1 });
+    genomics::writeFastq(fq2, { r2 });
+
+    serve::MapReplyBody reply;
+    auto status =
+        client.mapBatch("golden", fq1.str(), fq2.str(), false, &reply);
+    ASSERT_TRUE(status.ok) << status.describe();
+    ASSERT_EQ(reply.pairCount, 1u);
+    std::istringstream records(reply.sam);
+    std::string line;
+    int lines = 0;
+    while (std::getline(records, line)) {
+        ++lines;
+        // FLAG 77 / 141: paired, both mates unmapped.
+        const std::size_t tab = line.find('\t');
+        const std::string flag =
+            line.substr(tab + 1, line.find('\t', tab + 1) - tab - 1);
+        EXPECT_TRUE(flag == "77" || flag == "141") << line;
+    }
+    EXPECT_EQ(lines, 2);
+    EXPECT_EQ(mapCorpus(client, 64), kGoldenSamMd5);
+}
+
 TEST_F(ServeGoldenTest, UnknownReferenceRejectedConnectionSurvives)
 {
     startServer();

@@ -93,8 +93,8 @@ TEST(Simd, BackendNamesAndClamping)
     util::forceSimdBackend(prev);
 
     EXPECT_EQ(util::simdDpLanes(SimdBackend::Scalar), 1u);
-    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx2), 8u);
-    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx512), 16u);
+    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx2), 16u);
+    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx512), 32u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Scalar), 1u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Avx2), 4u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Avx512), 8u);
@@ -175,78 +175,189 @@ TEST(Simd, ShdBatchMatchesScalarMasks)
     });
 }
 
+/**
+ * A target for query @p q: a copy with mismatches, deletions and
+ * insertions inside @p pad random bases each side, or (when
+ * @p related is false) @p len random bases.
+ */
+DnaSequence
+fitTarget(util::Pcg32 &rng, const DnaSequence &q, bool related, u64 pad,
+          u64 len)
+{
+    if (!related)
+        return randomSeq(rng, len);
+    std::string body;
+    for (u64 i = 0; i < q.size(); ++i) {
+        const u32 r = rng.below(20);
+        char b = genomics::baseToChar(q.at(i));
+        if (r == 0)
+            b = genomics::baseToChar(rng.below(4));
+        if (r == 1)
+            continue;
+        body.push_back(b);
+        if (r == 2)
+            body.push_back(genomics::baseToChar(rng.below(4)));
+    }
+    std::string left, right;
+    for (u64 i = 0; i < pad; ++i) {
+        left.push_back(genomics::baseToChar(rng.below(4)));
+        right.push_back(genomics::baseToChar(rng.below(4)));
+    }
+    return DnaSequence(left + body + right);
+}
+
+/** fitAlignBatch over @p tasks equals fitAlign task by task. */
+void
+expectBatchMatchesScalar(const std::vector<align::FitTask> &tasks,
+                         const genomics::ScoringScheme &sc,
+                         align::BatchAlignScratch &bscr,
+                         const std::string &label)
+{
+    align::AlignScratch sscr;
+    std::vector<align::AlignResult> got(tasks.size());
+    align::fitAlignBatch(tasks.data(), tasks.size(), sc, bscr, got.data());
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+        const align::AlignResult want = align::fitAlign(
+            tasks[k].query, tasks[k].target, sc, tasks[k].band, sscr);
+        SCOPED_TRACE(label + " k=" + std::to_string(k) +
+                     " m=" + std::to_string(tasks[k].query.size()) +
+                     " n=" + std::to_string(tasks[k].target.size()) +
+                     " band=" + std::to_string(tasks[k].band));
+        ASSERT_EQ(want.valid, got[k].valid);
+        ASSERT_EQ(want.score, got[k].score);
+        ASSERT_EQ(want.targetStart, got[k].targetStart);
+        ASSERT_EQ(want.targetEnd, got[k].targetEnd);
+        ASSERT_EQ(want.cellUpdates, got[k].cellUpdates);
+        ASSERT_EQ(want.cigar.toString(), got[k].cigar.toString());
+    }
+}
+
 TEST(Simd, FitAlignBatchMatchesScalar)
 {
+    // Each batch opens with a run of `run` tasks of one query length,
+    // run = 1..80, so lane groups of every size occur: full 32- and
+    // 16-lane groups and every tail from 1 to 31. Two run shapes in
+    // four are the production ones: 150 bp reads in 246 bp windows
+    // with band 128 (full DP, slack 48) and in 198 bp windows with
+    // band 80 (DP at candidates, slack 24). A few trailing tasks of
+    // other lengths close each batch.
     const genomics::ScoringScheme sc = genomics::ScoringScheme::shortRead();
     forEachBackend([&sc] {
         util::Pcg32 rng(9113);
         align::BatchAlignScratch bscr;
-        align::AlignScratch sscr;
-        for (int iter = 0; iter < 50; ++iter) {
-            const std::size_t count = 1 + rng.below(25);
+        for (u32 run = 1; run <= 80; ++run) {
             std::vector<DnaSequence> qs, ts;
-            std::vector<align::FitTask> tasks;
-            u64 m = 20 + rng.below(180);
-            for (std::size_t k = 0; k < count; ++k) {
-                if (rng.below(5) == 0)
-                    m = 20 + rng.below(180); // new length -> new lane group
-                DnaSequence q = randomSeq(rng, m);
+            std::vector<i32> bands;
+            const u32 shape = run % 4;
+            const u64 m = shape < 2 ? 150 : 20 + rng.below(180);
+            const u32 tail = rng.below(6);
+            for (u32 k = 0; k < run + tail; ++k) {
+                const bool inRun = k < run;
+                const u64 len = inRun ? m : 20 + rng.below(180);
+                DnaSequence q = randomSeq(rng, len);
                 DnaSequence t;
-                if (rng.below(2)) {
-                    // Mutated copy: mismatches, deletions, insertions.
-                    std::string body;
-                    for (u64 i = 0; i < m; ++i) {
-                        const u32 r = rng.below(20);
-                        char b = genomics::baseToChar(q.at(i));
-                        if (r == 0)
-                            b = genomics::baseToChar(rng.below(4));
-                        if (r == 1)
-                            continue;
-                        body.push_back(b);
-                        if (r == 2)
-                            body.push_back(genomics::baseToChar(rng.below(4)));
-                    }
-                    std::string pad;
-                    for (int i = 0; i < 30; ++i)
-                        pad.push_back(genomics::baseToChar(rng.below(4)));
-                    t = DnaSequence(pad + body + pad);
+                i32 band = -1;
+                if (inRun && shape == 0) {
+                    t = fitTarget(rng, q, true, 48, 0);
+                    band = 128;
+                } else if (inRun && shape == 1) {
+                    t = fitTarget(rng, q, rng.below(8) != 0, 24, 198);
+                    band = 80;
                 } else {
-                    t = randomSeq(rng, 1 + rng.below(m + 120));
+                    t = fitTarget(rng, q, rng.below(2) != 0, 30,
+                                  1 + rng.below(len + 120));
+                    const u32 r = rng.below(4);
+                    if (r == 0)
+                        band = static_cast<i32>(8 + rng.below(40));
+                    if (r == 1)
+                        band = 80;
+                    if (r == 2)
+                        band = 128;
                 }
                 qs.push_back(std::move(q));
                 ts.push_back(std::move(t));
+                bands.push_back(band);
             }
-            for (std::size_t k = 0; k < count; ++k) {
-                align::FitTask ft;
-                ft.query = qs[k];
-                ft.target = ts[k];
-                const u32 r = rng.below(4);
-                ft.band = -1;
-                if (r == 0)
-                    ft.band = static_cast<i32>(8 + rng.below(40));
-                if (r == 1)
-                    ft.band = 80;
-                if (r == 2)
-                    ft.band = 128;
-                tasks.push_back(ft);
+            std::vector<align::FitTask> tasks;
+            for (std::size_t k = 0; k < qs.size(); ++k)
+                tasks.push_back({ qs[k], ts[k], bands[k] });
+            expectBatchMatchesScalar(tasks, sc, bscr,
+                                     "run=" + std::to_string(run));
+        }
+    });
+}
+
+TEST(Simd, FitAlignBatchRangeEdges)
+{
+    // A lane group runs in i16 while (m + nMax + 2) * C < 2^15, C the
+    // largest per-step cost; past that it runs the scalar engine. Pin
+    // both sides of the edge against fitAlign: the sr preset (C = 33,
+    // m + nMax <= 990), and a heavy, nearly linear-gap scheme
+    // (C = 1000, m + nMax <= 30) whose cell values really approach
+    // (m + nMax) * C, i.e. the i16 floor.
+    genomics::ScoringScheme heavy;
+    heavy.match = 1;
+    heavy.mismatch = 1000;
+    heavy.gapOpen1 = 10;
+    heavy.gapExtend1 = 990;
+    heavy.gapOpen2 = 20;
+    heavy.gapExtend2 = 980;
+    struct Edge
+    {
+        genomics::ScoringScheme sc;
+        u64 m;
+        u64 nInside; ///< widest window that still fits i16
+    };
+    const Edge edges[] = {
+        { genomics::ScoringScheme::shortRead(), 400, 590 },
+        { heavy, 12, 18 },
+    };
+    forEachBackend([&edges] {
+        util::Pcg32 rng(4242);
+        align::BatchAlignScratch bscr;
+        for (const Edge &e : edges) {
+            for (u64 nMax : { e.nInside, e.nInside + 1 }) {
+                std::vector<DnaSequence> qs, ts;
+                for (u32 k = 0; k < 20; ++k) {
+                    qs.push_back(randomSeq(rng, e.m));
+                    // The first task sets nMax; the rest are ragged.
+                    const u64 n = k == 0 ? nMax : 1 + rng.below(nMax);
+                    DnaSequence t =
+                        fitTarget(rng, qs.back(), k % 2 == 0, 0, n);
+                    if (t.size() > n)
+                        t = t.sub(0, n);
+                    while (t.size() < n)
+                        t.push(static_cast<u8>(rng.below(4)));
+                    ts.push_back(std::move(t));
+                }
+                std::vector<align::FitTask> tasks;
+                for (u32 k = 0; k < qs.size(); ++k)
+                    tasks.push_back({ qs[k], ts[k], k % 3 ? -1 : 8 });
+                expectBatchMatchesScalar(
+                    tasks, e.sc, bscr,
+                    "m=" + std::to_string(e.m) +
+                        " nMax=" + std::to_string(nMax));
             }
-            std::vector<align::AlignResult> got(count);
-            align::fitAlignBatch(tasks.data(), count, sc, bscr, got.data());
-            for (std::size_t k = 0; k < count; ++k) {
-                const align::AlignResult want = align::fitAlign(
-                    tasks[k].query, tasks[k].target, sc, tasks[k].band, sscr);
-                SCOPED_TRACE("iter=" + std::to_string(iter) +
-                             " k=" + std::to_string(k) +
-                             " m=" + std::to_string(tasks[k].query.size()) +
-                             " n=" + std::to_string(tasks[k].target.size()) +
-                             " band=" + std::to_string(tasks[k].band));
-                ASSERT_EQ(want.valid, got[k].valid);
-                ASSERT_EQ(want.score, got[k].score);
-                ASSERT_EQ(want.targetStart, got[k].targetStart);
-                ASSERT_EQ(want.targetEnd, got[k].targetEnd);
-                ASSERT_EQ(want.cellUpdates, got[k].cellUpdates);
-                ASSERT_EQ(want.cigar.toString(), got[k].cigar.toString());
-            }
+        }
+        // Past the 2^27-cell matrix cap a task is invalid, not an
+        // abort — also under a unit-cost scheme (C = 1), whose i16
+        // bound (m + nMax <= 32765) does not stop such a task.
+        genomics::ScoringScheme unit;
+        unit.match = 1;
+        unit.mismatch = 1;
+        unit.gapOpen1 = 0;
+        unit.gapExtend1 = 1;
+        unit.gapOpen2 = 0;
+        unit.gapExtend2 = 1;
+        const DnaSequence q = randomSeq(rng, 12000);
+        const DnaSequence t = randomSeq(rng, 12096);
+        const align::FitTask big{ q, t, 128 };
+        for (const genomics::ScoringScheme &sc : { edges[0].sc, unit }) {
+            align::AlignResult res;
+            res.valid = true;
+            align::fitAlignBatch(&big, 1, sc, bscr, &res);
+            EXPECT_FALSE(res.valid);
+            EXPECT_EQ(res.cellUpdates, 0u);
         }
     });
 }
