@@ -29,6 +29,7 @@
 #include "genpair/seeder.hh"
 #include "genpair/seedmap.hh"
 #include "simdata/genome_generator.hh"
+#include "simdata/read_simulator.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 #include "util/xxhash.hh"
@@ -398,6 +399,45 @@ BM_MinimizerExtractPacked(benchmark::State &state)
     state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_MinimizerExtractPacked);
+
+void
+BM_MinimizerLookup(benchmark::State &state)
+{
+    // The fallback's seed lookups: every minimizer of 512 simulated
+    // 150 bp pairs, looked up in turn in the index of a 4 Mbp
+    // reference (the perfbench genome size).
+    static const genomics::Reference ref = [] {
+        simdata::GenomeParams gp;
+        gp.length = 4 << 20;
+        gp.chromosomes = 2;
+        gp.seed = 11;
+        return simdata::generateGenome(gp);
+    }();
+    static const baseline::MinimizerIndex index(ref,
+                                                baseline::MinimizerParams{});
+    static const std::vector<u64> hashes = [] {
+        simdata::DiploidGenome donor(ref, simdata::VariantParams{});
+        simdata::ReadSimulator sim(donor, simdata::ReadSimParams{});
+        std::vector<u64> out;
+        for (int i = 0; i < 512; ++i) {
+            const genomics::ReadPair pair = sim.simulatePair();
+            for (const auto *read : { &pair.first, &pair.second })
+                for (const auto &m :
+                     baseline::extractMinimizers(read->seq, index.params()))
+                    out.push_back(m.hash);
+        }
+        return out;
+    }();
+    std::size_t i = 0;
+    u64 hits = 0;
+    for (auto _ : state) {
+        hits += index.lookup(hashes[i]).size();
+        i = i + 1 == hashes.size() ? 0 : i + 1;
+    }
+    benchmark::DoNotOptimize(hits);
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_MinimizerLookup);
 
 void
 BM_WindowMaterialize(benchmark::State &state)

@@ -128,9 +128,8 @@ struct BatchAlignScratch
  * lanes never exchange data, each computes the scalar engine's
  * recurrence in exact 16-bit arithmetic — but consecutive tasks with
  * equal query length advance in lockstep through one band sweep (16
- * lanes under AVX2; 32 under AVX-512, where a group of at most 16
- * runs the 16-lane kernel; per-lane masking covers ragged target
- * lengths and bands). The active util::SimdBackend picks the lane
+ * lanes under AVX2, 32 under AVX-512; per-lane masking covers ragged
+ * target lengths and bands). The active util::SimdBackend picks the lane
  * width. The scalar backend, any group whose score bound does not fit
  * i16 (m + widest window > 990 under the sr preset) and any group whose
  * lane-major traceback would pass the 2^27-byte matrix cap run the

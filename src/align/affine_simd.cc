@@ -47,9 +47,11 @@
  *    one contiguous store per sweep step; the traceback walk reads one
  *    lane back out through a strided accessor.
  *  - Lane groups are consecutive tasks with equal query length m (the
- *    rows of a group share the query index i). Under AVX-512 a group
- *    of 17..32 tasks runs the zmm kernel and a group of at most 16 the
- *    ymm kernel, so a tail never sweeps more than twice its own lanes.
+ *    rows of a group share the query index i): up to 32 per zmm sweep
+ *    under AVX-512, 16 per ymm sweep under AVX2. A partial group runs
+ *    the full-width kernel: sending AVX-512 groups of at most 16 tasks
+ *    to the ymm kernel instead measured slower end to end
+ *    (EXPERIMENTS.md, "One DP sweep per fallback batch").
  */
 
 #include <algorithm>
@@ -567,7 +569,7 @@ fitAlignBatch(const FitTask *tasks, std::size_t count,
             static_cast<i64>(m + nMax + 2) * stepCost < (i64{ 1 } << 15) &&
             (m + 1) * (nMax + 1) * lanes <= kMaxDpCells;
         if (backend != util::SimdBackend::Scalar && fitsI16) {
-            if (cnt > Ymm::kLanes)
+            if (backend == util::SimdBackend::Avx512)
                 fitGroup<Zmm>(tasks + i, cnt, nMax, stepCost, scheme,
                               scratch, out + i);
             else

@@ -6,16 +6,16 @@
 namespace gpx {
 namespace align {
 
-std::vector<Chain>
+u64
 chainAnchors(const std::vector<Anchor> &anchors, const ChainParams &params,
-             u32 lookback)
+             ChainScratch &scratch, std::vector<Chain> &out, u32 lookback)
 {
-    std::vector<Chain> out;
     if (anchors.empty())
-        return out;
+        return 0;
 
     // Sort anchors by reference, then query position.
-    std::vector<u32> order(anchors.size());
+    std::vector<u32> &order = scratch.order;
+    order.resize(anchors.size());
     for (u32 i = 0; i < order.size(); ++i)
         order[i] = i;
     std::sort(order.begin(), order.end(), [&](u32 a, u32 b) {
@@ -25,8 +25,10 @@ chainAnchors(const std::vector<Anchor> &anchors, const ChainParams &params,
     });
 
     const std::size_t n = order.size();
-    std::vector<double> f(n);
-    std::vector<i32> pred(n, -1);
+    std::vector<double> &f = scratch.f;
+    std::vector<i32> &pred = scratch.pred;
+    f.resize(n);
+    pred.assign(n, -1);
     u64 cells = 0;
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -57,56 +59,52 @@ chainAnchors(const std::vector<Anchor> &anchors, const ChainParams &params,
     }
 
     // Extract chains greedily from the best unused tail anchors.
-    std::vector<bool> used(n, false);
-    std::vector<std::size_t> tails(n);
-    for (std::size_t i = 0; i < n; ++i)
+    std::vector<u8> &used = scratch.used;
+    std::vector<u32> &tails = scratch.tails;
+    used.assign(n, 0);
+    tails.resize(n);
+    for (u32 i = 0; i < n; ++i)
         tails[i] = i;
     std::sort(tails.begin(), tails.end(),
-              [&](std::size_t a, std::size_t b) { return f[a] > f[b]; });
+              [&](u32 a, u32 b) { return f[a] > f[b]; });
 
-    for (std::size_t t : tails) {
-        if (out.size() >= params.maxChains)
+    u32 kept = 0;
+    for (u32 t : tails) {
+        if (kept >= params.maxChains)
             break;
         if (used[t] || f[t] < params.minScore)
             continue;
-        Chain chain;
-        chain.score = f[t];
-        i64 cur = static_cast<i64>(t);
+        // A chain that runs into a member of an earlier kept chain is
+        // dropped whole; members are marked only for kept chains.
+        u32 head = t;
+        u32 members = 0;
         bool overlap = false;
-        std::vector<u32> rev_idx;
-        while (cur >= 0) {
-            if (used[static_cast<std::size_t>(cur)]) {
+        for (i32 cur = static_cast<i32>(t); cur >= 0; cur = pred[cur]) {
+            if (used[cur]) {
                 overlap = true;
                 break;
             }
-            rev_idx.push_back(order[static_cast<std::size_t>(cur)]);
-            cur = pred[static_cast<std::size_t>(cur)];
+            head = static_cast<u32>(cur);
+            ++members;
         }
-        if (overlap || rev_idx.empty())
+        if (overlap)
             continue;
-        // Mark members used only for complete, kept chains.
-        std::size_t walk = t;
-        while (true) {
-            used[walk] = true;
-            if (pred[walk] < 0)
-                break;
-            walk = static_cast<std::size_t>(pred[walk]);
-        }
-        std::reverse(rev_idx.begin(), rev_idx.end());
-        const Anchor &head = anchors[rev_idx.front()];
-        const Anchor &tail = anchors[rev_idx.back()];
-        chain.anchorIdx = std::move(rev_idx);
-        chain.refStart = head.refPos;
-        chain.refEnd = tail.refPos + tail.length;
-        chain.queryStart = head.queryPos;
-        chain.queryEnd = tail.queryPos + tail.length;
-        chain.reverse = head.reverse;
-        out.push_back(std::move(chain));
+        for (i32 cur = static_cast<i32>(t); cur >= 0; cur = pred[cur])
+            used[cur] = 1;
+        const Anchor &first = anchors[order[head]];
+        const Anchor &last = anchors[order[t]];
+        Chain chain;
+        chain.score = f[t];
+        chain.refStart = first.refPos;
+        chain.refEnd = last.refPos + last.length;
+        chain.queryStart = first.queryPos;
+        chain.queryEnd = last.queryPos + last.length;
+        chain.numAnchors = members;
+        chain.reverse = first.reverse;
+        out.push_back(chain);
+        ++kept;
     }
-
-    if (!out.empty())
-        out.front().cellUpdates = cells;
-    return out;
+    return cells;
 }
 
 } // namespace align

@@ -42,15 +42,23 @@ struct ChainParams
 /** One chained candidate region. */
 struct Chain
 {
-    std::vector<u32> anchorIdx; ///< indices into the input anchor vector
     double score = 0;
     GlobalPos refStart = 0;
     GlobalPos refEnd = 0;
     u64 queryStart = 0;
     u64 queryEnd = 0;
+    u32 numAnchors = 0; ///< anchors chained into the region
     bool reverse = false;
-    /** DP cell updates consumed by the chaining pass (MCUPS accounting). */
-    u64 cellUpdates = 0;
+};
+
+/** Working set of chainAnchors(), reused across calls. */
+struct ChainScratch
+{
+    std::vector<u32> order; ///< anchors sorted by (refPos, queryPos)
+    std::vector<double> f;  ///< best chain score ending at order[i]
+    std::vector<i32> pred;  ///< predecessor in order, -1 for none
+    std::vector<u8> used;
+    std::vector<u32> tails; ///< order indices by descending f
 };
 
 /**
@@ -59,11 +67,15 @@ struct Chain
  *
  * @param anchors Anchors, all with the same `reverse` flag.
  * @param params Chaining parameters.
+ * @param scratch Working set (allocation-free once warm).
+ * @param out The kept chains are appended here, best first.
  * @param lookback Maximum number of predecessors examined per anchor.
+ * @return DP cell updates of the pass (MCUPS accounting), counted
+ *         whether or not any chain reaches params.minScore.
  */
-std::vector<Chain> chainAnchors(const std::vector<Anchor> &anchors,
-                                const ChainParams &params,
-                                u32 lookback = 32);
+u64 chainAnchors(const std::vector<Anchor> &anchors,
+                 const ChainParams &params, ChainScratch &scratch,
+                 std::vector<Chain> &out, u32 lookback = 32);
 
 } // namespace align
 } // namespace gpx

@@ -12,6 +12,9 @@ namespace baseline {
 
 namespace {
 
+/** Directory cap: 2^20 buckets, 2^20 + 1 u32 offsets (4 MiB). */
+constexpr u32 kMaxDirectoryBits = 20;
+
 /** Invertible 64-bit mix (Minimap2's hash64) applied to packed k-mers. */
 u64
 mixHash(u64 key, u64 mask)
@@ -28,15 +31,15 @@ mixHash(u64 key, u64 mask)
 
 } // namespace
 
-std::vector<Minimizer>
+void
 extractMinimizers(const genomics::DnaView &seq,
-                  const MinimizerParams &params)
+                  const MinimizerParams &params, std::vector<Minimizer> &out)
 {
-    std::vector<Minimizer> out;
+    out.clear();
     const u32 k = params.k;
     const u32 w = params.w;
     if (seq.size() < k)
-        return out;
+        return;
     gpx_assert(k >= 4 && k <= 31, "k must be in [4,31]");
     gpx_assert(w >= 1, "w must be positive");
 
@@ -53,10 +56,17 @@ extractMinimizers(const genomics::DnaView &seq,
     };
     // Monotonic queue over the sliding window as a fixed-capacity power-
     // of-two ring: positions in the queue span at most w+1 values before
-    // the front eviction runs, so no allocation ever happens mid-stream.
+    // the front eviction runs, so no allocation ever happens mid-stream
+    // (and none at all for w < 64, whose ring fits on the stack).
     const u32 cap = std::bit_ceil(w + 1u);
     const u32 rmask = cap - 1;
-    std::vector<Cand> ring(cap);
+    Cand stackRing[64] = {};
+    std::vector<Cand> heapRing;
+    Cand *ring = stackRing;
+    if (cap > 64) {
+        heapRing.resize(cap);
+        ring = heapRing.data();
+    }
     u32 head = 0;
     u32 count = 0;
     u64 lastEmittedPos = ~u64{0};
@@ -107,6 +117,14 @@ extractMinimizers(const genomics::DnaView &seq,
             }
         }
     }
+}
+
+std::vector<Minimizer>
+extractMinimizers(const genomics::DnaView &seq,
+                  const MinimizerParams &params)
+{
+    std::vector<Minimizer> out;
+    extractMinimizers(seq, params, out);
     return out;
 }
 
@@ -202,17 +220,36 @@ MinimizerIndex::MinimizerIndex(const genomics::Reference &ref,
         i = j;
     }
     offsets_.push_back(entries_.size());
+
+    // Bucket directory over the top bits of the 2k-bit hashes, sized to
+    // the table (one bucket per distinct hash or more), in one pass.
+    gpx_assert(hashes_.size() < (u64{ 1 } << 32),
+               "minimizer table exceeds the u32 directory");
+    const u32 bits = std::min<u32>(
+        { kMaxDirectoryBits, 2 * params_.k,
+          static_cast<u32>(std::bit_width(hashes_.size())) });
+    dirShift_ = 2 * params_.k - bits;
+    dir_.resize((std::size_t{ 1 } << bits) + 1);
+    std::size_t h = 0;
+    for (std::size_t b = 0; b < dir_.size(); ++b) {
+        while (h < hashes_.size() && (hashes_[h] >> dirShift_) < b)
+            ++h;
+        dir_[b] = static_cast<u32>(h);
+    }
 }
 
 std::span<const MinimizerIndex::Entry>
 MinimizerIndex::lookup(u64 hash) const
 {
-    auto it = std::lower_bound(hashes_.begin(), hashes_.end(), hash);
-    if (it == hashes_.end() || *it != hash)
-        return {};
-    std::size_t idx = static_cast<std::size_t>(it - hashes_.begin());
-    return { entries_.data() + offsets_[idx],
-             entries_.data() + offsets_[idx + 1] };
+    const u64 bucket = hash >> dirShift_;
+    if (bucket >= dir_.size() - 1)
+        return {}; // wider than any 2k-bit minimizer hash
+    for (u32 i = dir_[bucket], end = dir_[bucket + 1]; i < end; ++i) {
+        if (hashes_[i] == hash)
+            return { entries_.data() + offsets_[i],
+                     entries_.data() + offsets_[i + 1] };
+    }
+    return {};
 }
 
 } // namespace baseline

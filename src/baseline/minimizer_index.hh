@@ -4,7 +4,8 @@
  *
  * This is the seeding substrate of the Minimap2-like baseline mapper
  * ("MM2" in the paper's evaluation). Canonical k-mers are selected by a
- * (w,k) minimizer scheme and stored in a sorted (hash, location) table.
+ * (w,k) minimizer scheme and stored in a sorted (hash, location) table,
+ * reached through a bucket directory on the hash's top bits.
  */
 
 #ifndef GPX_BASELINE_MINIMIZER_INDEX_HH
@@ -38,10 +39,16 @@ struct Minimizer
 };
 
 /**
- * Extract the minimizers of a sequence (used for both index and reads).
- * The k-mer hashes roll directly over the packed 2-bit words; any
+ * Extract the minimizers of a sequence (used for both index and reads)
+ * into @p out, replacing its contents and reusing its capacity. The
+ * k-mer hashes roll directly over the packed 2-bit words; any
  * DnaSequence converts implicitly to the view.
  */
+void extractMinimizers(const genomics::DnaView &seq,
+                       const MinimizerParams &params,
+                       std::vector<Minimizer> &out);
+
+/** extractMinimizers() into a fresh vector. */
 std::vector<Minimizer> extractMinimizers(const genomics::DnaView &seq,
                                          const MinimizerParams &params);
 
@@ -54,7 +61,16 @@ std::vector<Minimizer> extractMinimizers(const genomics::DnaView &seq,
 std::vector<Minimizer> extractMinimizersScalar(const genomics::DnaView &seq,
                                                const MinimizerParams &params);
 
-/** Sorted minimizer table over a reference genome. */
+/**
+ * Sorted minimizer table over a reference genome. lookup() does not
+ * search the whole table: a directory of 2^b + 1 offsets, b = min(20,
+ * bit width of the number of distinct hashes), maps the top b of the
+ * hash's 2k bits to the run of table hashes sharing them, and a lookup
+ * scans only that run: under one hash on average while the table has
+ * at most 2^20 distinct hashes (a few Mbp of reference), n / 2^20
+ * beyond that. The directory is built in one pass over the sorted
+ * table; at its cap it holds 2^20 + 1 u32 offsets (4 MiB).
+ */
 class MinimizerIndex
 {
   public:
@@ -75,11 +91,18 @@ class MinimizerIndex
 
     u64 numEntries() const { return entries_.size(); }
 
+    /** b: the directory has 2^b buckets over the top b hash bits. */
+    u32 directoryBits() const { return 2 * params_.k - dirShift_; }
+
   private:
     MinimizerParams params_;
     std::vector<u64> hashes_;   ///< sorted unique hashes
     std::vector<u64> offsets_;  ///< CSR offsets into entries_
     std::vector<Entry> entries_;
+    /** dir_[b]: first hashes_ index whose bucket (hash >> dirShift_)
+     *  is >= b; 2^b + 1 entries, the last one hashes_.size(). */
+    std::vector<u32> dir_;
+    u32 dirShift_ = 0;
 };
 
 } // namespace baseline

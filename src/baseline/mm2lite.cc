@@ -1,8 +1,7 @@
 #include "baseline/mm2lite.hh"
 
 #include <algorithm>
-#include <cstdint>
-#include <numeric>
+#include <tuple>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -37,70 +36,13 @@ clampWindow(const genomics::Reference &ref, GlobalPos pos, u64 len,
     return { start, hi > lo ? hi - lo : 0 };
 }
 
-/**
- * What a DP task depends on: the query (one sequence per read and
- * strand), the window and the band. Equal keys give equal results.
- */
-struct TaskKey
+/** Expected read start on the reference of a chain. */
+GlobalPos
+chainStart(const Chain &chain)
 {
-    std::uintptr_t query = 0;
-    GlobalPos wstart = 0;
-    u64 wlen = 0;
-    i32 band = 0;
-
-    auto operator<=>(const TaskKey &) const = default;
-};
-
-TaskKey
-taskKey(const DnaSequence &query, GlobalPos wstart, u64 wlen, i32 band)
-{
-    return { reinterpret_cast<std::uintptr_t>(&query), wstart, wlen,
-             band };
-}
-
-/**
- * Run the distinct tasks of @p tasks through one fitAlignBatch() and
- * copy each result into every slot of its key, so results[t] is what
- * aligning tasks[t] on its own gives (repeats are common: two chains
- * with the same expected start build the same window).
- */
-void
-alignDistinct(const std::vector<align::FitTask> &tasks,
-              const std::vector<TaskKey> &keys,
-              const genomics::ScoringScheme &scheme,
-              align::BatchAlignScratch &scratch,
-              std::vector<align::AlignResult> &results)
-{
-    const std::size_t count = tasks.size();
-    std::vector<u32> order(count);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
-        return keys[a] < keys[b];
-    });
-    // first[t]: the earliest slot with tasks[t]'s key.
-    std::vector<u32> first(count);
-    for (std::size_t k = 0; k < count; ++k) {
-        const u32 t = order[k];
-        first[t] = k > 0 && keys[order[k - 1]] == keys[t]
-                       ? first[order[k - 1]]
-                       : t;
-    }
-    std::vector<align::FitTask> distinct;
-    std::vector<u32> slot(count); ///< index into distinct
-    for (u32 t = 0; t < count; ++t) {
-        if (first[t] == t) {
-            slot[t] = static_cast<u32>(distinct.size());
-            distinct.push_back(tasks[t]);
-        } else {
-            slot[t] = slot[first[t]];
-        }
-    }
-    std::vector<align::AlignResult> once(distinct.size());
-    align::fitAlignBatch(distinct.data(), distinct.size(), scheme, scratch,
-                         once.data());
-    results.resize(count);
-    for (std::size_t t = 0; t < count; ++t)
-        results[t] = once[slot[t]];
+    return chain.refStart > chain.queryStart
+               ? chain.refStart - chain.queryStart
+               : 0;
 }
 
 } // namespace
@@ -118,72 +60,63 @@ Mm2Lite::Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
     gpx_assert(index_, "shared index must not be null");
 }
 
-std::vector<Anchor>
+void
 Mm2Lite::collectAnchors(const Read &read)
 {
-    std::vector<Anchor> anchors;
+    fwdAnchors_.clear();
+    revAnchors_.clear();
     const u32 k = params_.minimizers.k;
-    auto mins = extractMinimizers(read.seq, params_.minimizers);
-    // Resolve each minimizer's occurrence list once, size the anchor
-    // vector exactly, then fill it.
-    std::vector<std::span<const MinimizerIndex::Entry>> hits;
-    hits.reserve(mins.size());
-    std::size_t total = 0;
-    for (const auto &m : mins) {
-        hits.push_back(index_->lookup(m.hash));
-        total += hits.back().size();
-    }
-    anchors.reserve(total);
-    for (std::size_t mi = 0; mi < mins.size(); ++mi) {
-        const auto &m = mins[mi];
-        for (const auto &e : hits[mi]) {
-            bool reverse = m.reverse != e.reverse;
+    extractMinimizers(read.seq, params_.minimizers, minimizers_);
+    for (const auto &m : minimizers_) {
+        for (const auto &e : index_->lookup(m.hash)) {
             Anchor a;
             a.length = k;
-            a.reverse = reverse;
-            if (!reverse) {
-                a.queryPos = m.pos;
-            } else {
-                // Coordinates of the reverse-complemented read.
-                a.queryPos = read.seq.size() - k - m.pos;
-            }
+            a.reverse = m.reverse != e.reverse;
+            // Reverse anchors are in the reverse-complemented read's
+            // coordinates.
+            a.queryPos = a.reverse ? read.seq.size() - k - m.pos : m.pos;
             a.refPos = e.pos;
-            anchors.push_back(a);
+            (a.reverse ? revAnchors_ : fwdAnchors_).push_back(a);
         }
     }
-    return anchors;
 }
 
-std::vector<Chain>
-Mm2Lite::planRead(const Read &read)
+void
+Mm2Lite::planRead(const Read &read, std::vector<Chain> &chains)
 {
-    std::vector<Anchor> anchors;
     {
         util::StageTimers::Scope scope(timers_, stages::kSeeding);
-        anchors = collectAnchors(read);
+        collectAnchors(read);
     }
 
-    std::vector<Chain> chains;
-    {
-        util::StageTimers::Scope scope(timers_, stages::kChaining);
-        std::vector<Anchor> fwd, rev;
-        for (const auto &a : anchors)
-            (a.reverse ? rev : fwd).push_back(a);
-        for (auto *side : { &fwd, &rev }) {
-            auto part = align::chainAnchors(*side, params_.chain);
-            for (auto &c : part) {
-                dpWork_.chainCells += c.cellUpdates;
-                chains.push_back(std::move(c));
-            }
-        }
-        std::sort(chains.begin(), chains.end(),
-                  [](const Chain &a, const Chain &b) {
-                      return a.score > b.score;
-                  });
-        if (chains.size() > params_.maxCandidates)
-            chains.resize(params_.maxCandidates);
-    }
-    return chains;
+    util::StageTimers::Scope scope(timers_, stages::kChaining);
+    chains.clear();
+    for (const auto *side : { &fwdAnchors_, &revAnchors_ })
+        dpWork_.chainCells += align::chainAnchors(*side, params_.chain,
+                                                  chainScratch_, chains);
+    std::sort(chains.begin(), chains.end(),
+              [](const Chain &a, const Chain &b) {
+                  return a.score > b.score;
+              });
+    if (chains.size() > params_.maxCandidates)
+        chains.resize(params_.maxCandidates);
+}
+
+bool
+Mm2Lite::windowTask(const DnaSequence &query, GlobalPos pos, u32 slack,
+                    align::FitTask &task, GlobalPos &wstart) const
+{
+    u64 wlen = 0;
+    std::tie(wstart, wlen) = clampWindow(ref_, pos, query.size(), slack);
+    if (wlen < query.size())
+        return false;
+    task.query = query;
+    task.target = ref_.windowView(wstart, wlen);
+    // Band: the window only extends slack around the expected
+    // diagonal, so a band of slack + indel headroom is lossless for any
+    // alignment the window can contain.
+    task.band = static_cast<i32>(2 * slack + 32);
+    return true;
 }
 
 std::vector<Mapping>
@@ -211,7 +144,8 @@ Mm2Lite::finishRead(std::vector<Mapping> &mappings)
 std::vector<Mapping>
 Mm2Lite::mapRead(const Read &read)
 {
-    std::vector<Chain> chains = planRead(read);
+    std::vector<Chain> chains;
+    planRead(read, chains);
 
     std::vector<Mapping> mappings;
     {
@@ -227,31 +161,18 @@ Mm2Lite::mapRead(const Read &read)
                 }
                 query = &rc;
             }
-            // Expected read start on the reference.
-            GlobalPos expect = chain.refStart > chain.queryStart
-                                   ? chain.refStart - chain.queryStart
-                                   : 0;
-            auto [wstart, wlen] = clampWindow(ref_, expect, query->size(),
-                                              params_.alignSlack);
-            if (wlen < query->size())
+            align::FitTask task;
+            GlobalPos wstart = 0;
+            if (!windowTask(*query, chainStart(chain), params_.alignSlack,
+                            task, wstart))
                 continue;
-            genomics::DnaView window = ref_.windowView(wstart, wlen);
-            // Band: the window only extends alignSlack around the chain
-            // diagonal, so a band of slack + indel headroom is lossless
-            // for any alignment the window can contain.
-            auto res = align::fitAlign(*query, window, params_.scoring,
-                                       static_cast<i32>(
-                                           2 * params_.alignSlack + 32),
-                                       alignScratch_);
-            dpWork_.alignCells += res.cellUpdates;
-            if (!res.valid || res.score < params_.minAlignScore)
+            Mapping m = alignAtResult(
+                align::fitAlign(task.query, task.target, params_.scoring,
+                                task.band, alignScratch_),
+                wstart);
+            if (!m.mapped)
                 continue;
-            Mapping m;
-            m.mapped = true;
-            m.pos = wstart + res.targetStart;
             m.reverse = chain.reverse;
-            m.score = res.score;
-            m.cigar = std::move(res.cigar);
             mappings.push_back(std::move(m));
         }
     }
@@ -263,15 +184,31 @@ Mapping
 Mm2Lite::alignAt(const DnaSequence &read, GlobalPos pos, u32 slack)
 {
     util::StageTimers::Scope scope(timers_, stages::kAlignment);
-    Mapping m;
-    auto [wstart, wlen] = clampWindow(ref_, pos, read.size(), slack);
-    if (wlen < read.size())
-        return m;
-    genomics::DnaView window = ref_.windowView(wstart, wlen);
-    auto res = align::fitAlign(read, window, params_.scoring,
-                               static_cast<i32>(2 * slack + 32),
-                               alignScratch_);
+    align::FitTask task;
+    GlobalPos wstart = 0;
+    if (!windowTask(read, pos, slack, task, wstart))
+        return {};
+    return alignAtResult(align::fitAlign(task.query, task.target,
+                                         params_.scoring, task.band,
+                                         alignScratch_),
+                         wstart);
+}
+
+GlobalPos
+Mm2Lite::alignAtTask(const DnaSequence &read, GlobalPos pos, u32 slack,
+                     align::FitTask &task) const
+{
+    GlobalPos wstart = 0;
+    if (!windowTask(read, pos, slack, task, wstart))
+        task = align::FitTask{};
+    return wstart;
+}
+
+Mapping
+Mm2Lite::alignAtResult(align::AlignResult res, GlobalPos wstart)
+{
     dpWork_.alignCells += res.cellUpdates;
+    Mapping m;
     if (!res.valid || res.score < params_.minAlignScore)
         return m;
     m.mapped = true;
@@ -279,6 +216,14 @@ Mm2Lite::alignAt(const DnaSequence &read, GlobalPos pos, u32 slack)
     m.score = res.score;
     m.cigar = std::move(res.cigar);
     return m;
+}
+
+void
+Mm2Lite::alignTasks(const align::FitTask *tasks, std::size_t count,
+                    align::AlignResult *out)
+{
+    util::StageTimers::Scope scope(timers_, stages::kAlignment);
+    align::fitAlignBatch(tasks, count, params_.scoring, batchScratch_, out);
 }
 
 PairMapping
@@ -332,139 +277,85 @@ Mm2Lite::mapPair(const ReadPair &pair)
 }
 
 void
-Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
-                       PairMapping *out)
+Mm2Lite::planPairs(const ReadPair *const *pairs, std::size_t count,
+                   std::vector<align::FitTask> &tasks)
 {
-    // Plan every read of the batch first (seeding + chaining, scalar),
-    // so the alignment phase can hand one flat task list to the
-    // interleaved DP engine. Reads are 2 per pair, plans are indexed
-    // [2 * p + side].
-    struct ReadState
-    {
-        std::vector<Chain> chains;
-        DnaSequence rc; ///< stable storage — FitTasks hold views into it
-        bool haveRc = false;
-        std::vector<Mapping> mappings;
+    // Reads are 2 per pair, planned as [2 * p + side]; the slots list
+    // every chain window in the order mapRead() would align them.
+    plannedPairs_ = count;
+    if (plannedReads_.size() < 2 * count)
+        plannedReads_.resize(2 * count);
+    plannedSlots_.clear();
+    auto readOf = [&](std::size_t r) -> const Read & {
+        return r % 2 ? pairs[r / 2]->second : pairs[r / 2]->first;
     };
-    std::vector<ReadState> reads(2 * count);
-    for (std::size_t p = 0; p < count; ++p) {
-        reads[2 * p + 0].chains = planRead(pairs[p]->first);
-        reads[2 * p + 1].chains = planRead(pairs[p]->second);
+    for (std::size_t r = 0; r < 2 * count; ++r) {
+        PlannedRead &pr = plannedReads_[r];
+        pr.haveRc = false;
+        pr.mappings.clear();
+        planRead(readOf(r), pr.chains);
     }
 
-    // One FitTask per surviving chain window of every read, in the
-    // exact order the scalar loop would visit them.
-    struct TaskRef
-    {
-        u32 read;      ///< index into reads[]
-        u32 chain;     ///< index into that read's chain list
-        GlobalPos wstart;
-    };
-    std::vector<align::FitTask> tasks;
-    std::vector<TaskKey> keys;
-    std::vector<TaskRef> refs;
-    std::vector<align::AlignResult> results;
-    {
-        util::StageTimers::Scope scope(timers_, stages::kAlignment);
-        for (std::size_t p = 0; p < count; ++p) {
-            for (u32 side = 0; side < 2; ++side) {
-                ReadState &rs = reads[2 * p + side];
-                const Read &read =
-                    side == 0 ? pairs[p]->first : pairs[p]->second;
-                for (u32 ci = 0; ci < rs.chains.size(); ++ci) {
-                    const Chain &chain = rs.chains[ci];
-                    const DnaSequence *query = &read.seq;
-                    if (chain.reverse) {
-                        if (!rs.haveRc) {
-                            rs.rc = read.seq.revComp();
-                            rs.haveRc = true;
-                        }
-                        query = &rs.rc;
-                    }
-                    GlobalPos expect =
-                        chain.refStart > chain.queryStart
-                            ? chain.refStart - chain.queryStart
-                            : 0;
-                    auto [wstart, wlen] = clampWindow(
-                        ref_, expect, query->size(), params_.alignSlack);
-                    if (wlen < query->size())
-                        continue;
-                    align::FitTask ft;
-                    ft.query = *query;
-                    ft.target = ref_.windowView(wstart, wlen);
-                    ft.band =
-                        static_cast<i32>(2 * params_.alignSlack + 32);
-                    tasks.push_back(ft);
-                    keys.push_back(taskKey(*query, wstart, wlen, ft.band));
-                    refs.push_back({ static_cast<u32>(2 * p + side), ci,
-                                     wstart });
+    util::StageTimers::Scope scope(timers_, stages::kAlignment);
+    const std::size_t base = tasks.size();
+    for (u32 r = 0; r < 2 * count; ++r) {
+        const Read &read = readOf(r);
+        PlannedRead &pr = plannedReads_[r];
+        const std::size_t firstSlot = plannedSlots_.size();
+        for (u32 ci = 0; ci < pr.chains.size(); ++ci) {
+            const Chain &chain = pr.chains[ci];
+            const DnaSequence *query = &read.seq;
+            if (chain.reverse) {
+                if (!pr.haveRc) {
+                    pr.rc.assignRevComp(read.seq);
+                    pr.haveRc = true;
                 }
+                query = &pr.rc;
             }
-        }
-        alignDistinct(tasks, keys, params_.scoring, batchScratch_, results);
-
-        // Scalar epilogue per task, replayed in visit order.
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-            align::AlignResult &res = results[t];
-            const TaskRef &tr = refs[t];
-            ReadState &rs = reads[tr.read];
-            dpWork_.alignCells += res.cellUpdates;
-            if (!res.valid || res.score < params_.minAlignScore)
+            align::FitTask task;
+            GlobalPos wstart = 0;
+            if (!windowTask(*query, chainStart(chain), params_.alignSlack,
+                            task, wstart))
                 continue;
-            Mapping m;
-            m.mapped = true;
-            m.pos = tr.wstart + res.targetStart;
-            m.reverse = rs.chains[tr.chain].reverse;
-            m.score = res.score;
-            m.cigar = std::move(res.cigar);
-            rs.mappings.push_back(std::move(m));
+            PlannedSlot slot{ r, ci, 0, wstart, task.target.size() };
+            // Two chains of one read and strand with the same expected
+            // start build the same window: they share one task.
+            auto same = std::find_if(
+                plannedSlots_.begin() + firstSlot, plannedSlots_.end(),
+                [&](const PlannedSlot &s) {
+                    return pr.chains[s.chain].reverse == chain.reverse &&
+                           s.wstart == wstart && s.wlen == slot.wlen;
+                });
+            if (same != plannedSlots_.end()) {
+                slot.task = same->task;
+            } else {
+                slot.task = static_cast<u32>(tasks.size() - base);
+                tasks.push_back(task);
+            }
+            plannedSlots_.push_back(slot);
         }
-    }
-
-    for (std::size_t p = 0; p < count; ++p) {
-        auto cands1 = finishRead(reads[2 * p + 0].mappings);
-        auto cands2 = finishRead(reads[2 * p + 1].mappings);
-        out[p] = pairFromCandidates(cands1, cands2);
     }
 }
 
 void
-Mm2Lite::alignAtBatch(const AlignAtTask *batch, std::size_t count,
-                      Mapping *out)
+Mm2Lite::finishPairs(const align::AlignResult *results, PairMapping *out)
 {
-    util::StageTimers::Scope scope(timers_, stages::kAlignment);
-    std::vector<align::FitTask> tasks(count);
-    std::vector<GlobalPos> wstarts(count);
-    std::vector<u8> skip(count, 0);
-    for (std::size_t t = 0; t < count; ++t) {
-        const AlignAtTask &at = batch[t];
-        auto [wstart, wlen] =
-            clampWindow(ref_, at.pos, at.read->size(), at.slack);
-        wstarts[t] = wstart;
-        if (wlen < at.read->size()) {
-            skip[t] = 1;
-            continue; // fitAlignBatch treats the empty task as invalid
+    {
+        util::StageTimers::Scope scope(timers_, stages::kAlignment);
+        for (const PlannedSlot &slot : plannedSlots_) {
+            // A copy: a shared window's result serves each of its chains.
+            Mapping m = alignAtResult(results[slot.task], slot.wstart);
+            if (!m.mapped)
+                continue;
+            PlannedRead &pr = plannedReads_[slot.read];
+            m.reverse = pr.chains[slot.chain].reverse;
+            pr.mappings.push_back(std::move(m));
         }
-        tasks[t].query = *at.read;
-        tasks[t].target = ref_.windowView(wstart, wlen);
-        tasks[t].band = static_cast<i32>(2 * at.slack + 32);
     }
-    std::vector<align::AlignResult> results(count);
-    align::fitAlignBatch(tasks.data(), count, params_.scoring,
-                         batchScratch_, results.data());
-    for (std::size_t t = 0; t < count; ++t) {
-        Mapping &m = out[t];
-        m = Mapping{};
-        if (skip[t])
-            continue;
-        align::AlignResult &res = results[t];
-        dpWork_.alignCells += res.cellUpdates;
-        if (!res.valid || res.score < params_.minAlignScore)
-            continue;
-        m.mapped = true;
-        m.pos = wstarts[t] + res.targetStart;
-        m.score = res.score;
-        m.cigar = std::move(res.cigar);
+    for (std::size_t p = 0; p < plannedPairs_; ++p) {
+        auto cands1 = finishRead(plannedReads_[2 * p + 0].mappings);
+        auto cands2 = finishRead(plannedReads_[2 * p + 1].mappings);
+        out[p] = pairFromCandidates(cands1, cands2);
     }
 }
 

@@ -74,19 +74,23 @@ class Mm2Lite
     genomics::PairMapping mapPair(const genomics::ReadPair &pair);
 
     /**
-     * Map @p count pairs through the interleaved DP engine: every
-     * distinct chain alignment (read, strand, window, band) of every
-     * read in the batch joins one align::fitAlignBatch() run, so
-     * length-uniform short-read batches fill all SIMD lanes across
-     * read and pair boundaries, and chains that share a window align
-     * it once. Per-pair results and dpWork() are identical to mapPair()
-     * — the seeding, chaining, filtering and pairing logic is shared
-     * code, a repeated window's result is copied to each of its chains
-     * (and counted for each), and the batch DP engine is lane-exact
-     * against the scalar one.
+     * Full DP for a block of pairs, split around one DP sweep so the
+     * block's other alignments can share it. planPairs() seeds and
+     * chains both reads of each of @p count pairs and appends to
+     * @p tasks one FitTask per distinct chain window (read, strand,
+     * window, band) in mapPair()'s visit order; chains that share a
+     * window share its task. The caller aligns the tasks, usually
+     * inside one align::fitAlignBatch() run with other work (see
+     * alignTasks()), and hands finishPairs() their results in the same
+     * order: out[p] then equals mapPair(*pairs[p]) and dpWork()
+     * advances exactly as those calls would (a shared window's cells
+     * count once per chain). The pairs, and the plan, must stay alive
+     * until finishPairs(); the next planPairs() replaces the plan.
      */
-    void mapPairsBatch(const genomics::ReadPair *const *pairs,
-                       std::size_t count, genomics::PairMapping *out);
+    void planPairs(const genomics::ReadPair *const *pairs,
+                   std::size_t count, std::vector<align::FitTask> &tasks);
+    void finishPairs(const align::AlignResult *results,
+                     genomics::PairMapping *out);
 
     /**
      * Align a read at a known candidate position (the "DP-Alignment"
@@ -99,21 +103,28 @@ class Mm2Lite
     genomics::Mapping alignAt(const genomics::DnaSequence &read,
                               GlobalPos pos, u32 slack);
 
-    /** One alignAt() request inside an alignAtBatch() run. */
-    struct AlignAtTask
-    {
-        const genomics::DnaSequence *read = nullptr;
-        GlobalPos pos = 0;
-        u32 slack = 0;
-    };
+    /**
+     * alignAt() split around a caller's sweep: alignAtTask() sets
+     * @p task to the window alignAt() would align and returns the
+     * window's global start (a window cut short by a chromosome end
+     * leaves the task empty, which fitAlignBatch() reports invalid
+     * with zero cells); alignAtResult() turns the task's result into
+     * alignAt()'s mapping and counts its cells in dpWork(). A caller
+     * that discards a result without alignAtResult() leaves its cells
+     * uncounted.
+     */
+    GlobalPos alignAtTask(const genomics::DnaSequence &read, GlobalPos pos,
+                          u32 slack, align::FitTask &task) const;
+    genomics::Mapping alignAtResult(align::AlignResult res,
+                                    GlobalPos wstart);
 
     /**
-     * alignAt() over a batch of independent requests, interleaved
-     * across SIMD lanes. out[i] is bit-identical to
-     * alignAt(*tasks[i].read, tasks[i].pos, tasks[i].slack).
+     * fitAlignBatch() with this engine's scoring and lane-major
+     * scratch, charged to the alignment timer: out[t] is bit-identical
+     * to fitAlign() of tasks[t].
      */
-    void alignAtBatch(const AlignAtTask *tasks, std::size_t count,
-                      genomics::Mapping *out);
+    void alignTasks(const align::FitTask *tasks, std::size_t count,
+                    align::AlignResult *out);
 
     /** Per-stage wall-clock accumulators (Fig. 1). */
     util::StageTimers &timers() { return timers_; }
@@ -126,8 +137,30 @@ class Mm2Lite
     const genomics::Reference &reference() const { return ref_; }
 
   private:
-    std::vector<align::Anchor> collectAnchors(const genomics::Read &read);
-    std::vector<align::Chain> planRead(const genomics::Read &read);
+    /** One read of the planned full-DP block. */
+    struct PlannedRead
+    {
+        std::vector<align::Chain> chains;
+        genomics::DnaSequence rc; ///< stable storage — FitTasks view it
+        bool haveRc = false;
+        std::vector<genomics::Mapping> mappings;
+    };
+    /** One chain window of a planned read, in mapPair()'s visit order. */
+    struct PlannedSlot
+    {
+        u32 read;  ///< index into plannedReads_
+        u32 chain; ///< index into that read's chains
+        u32 task;  ///< index among the tasks planPairs() appended
+        GlobalPos wstart;
+        u64 wlen;
+    };
+
+    void collectAnchors(const genomics::Read &read);
+    void planRead(const genomics::Read &read,
+                  std::vector<align::Chain> &chains);
+    bool windowTask(const genomics::DnaSequence &query, GlobalPos pos,
+                    u32 slack, align::FitTask &task,
+                    GlobalPos &wstart) const;
     std::vector<genomics::Mapping>
     finishRead(std::vector<genomics::Mapping> &mappings);
     genomics::PairMapping
@@ -147,6 +180,15 @@ class Mm2Lite
     align::AlignScratch alignScratch_;
     /** Lane-major working set of the interleaved batch DP engine. */
     align::BatchAlignScratch batchScratch_;
+    /** Seeding and chaining working set, reused across reads. */
+    std::vector<Minimizer> minimizers_;
+    std::vector<align::Anchor> fwdAnchors_;
+    std::vector<align::Anchor> revAnchors_;
+    align::ChainScratch chainScratch_;
+    /** The full-DP plan between planPairs() and finishPairs(). */
+    std::vector<PlannedRead> plannedReads_;
+    std::vector<PlannedSlot> plannedSlots_;
+    std::size_t plannedPairs_ = 0;
 };
 
 } // namespace baseline

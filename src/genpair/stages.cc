@@ -383,13 +383,14 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
 {
     StageCounters &sc = counters(ctx, StageId::Fallback);
     ++sc.batches;
+    FallbackLists &fl = batch.fallback;
 
-    // Pass 1: classify routed pairs so each fallback class can run as
-    // one batched DP sweep across the whole PairBatch (the interleaved
-    // engine fills its lanes across pair boundaries). Pairs without a
-    // fallback engine resolve to Unmapped here, exactly as before.
-    std::vector<u64> fullDp; ///< exits 1+2: full seed-chain-align DP
-    std::vector<u64> exit3;  ///< exit 3: DP at known candidate pairs
+    // Pass 1: classify routed pairs so the whole batch's DP work can
+    // run as one interleaved sweep (the engine fills its lanes across
+    // pair and class boundaries). Pairs without a fallback engine
+    // resolve to Unmapped here, exactly as before.
+    fl.fullDp.clear();
+    fl.exit3.clear();
     for (u64 i = 0; i < batch.size; ++i) {
         const PairRoute route = batch.route[i];
         if (route == PairRoute::LightAligned)
@@ -412,138 +413,122 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
             continue;
         }
         if (route == PairRoute::SeedMiss || route == PairRoute::PaMiss)
-            fullDp.push_back(i);
+            fl.fullDp.push_back(i);
         else
-            exit3.push_back(i);
+            fl.exit3.push_back(i);
     }
+    if (fl.fullDp.empty() && fl.exit3.empty())
+        return;
 
-    // Full DP pipeline for pairs GenPair could not narrow down, every
-    // chain alignment of the class in one interleaved batch.
-    if (!fullDp.empty()) {
-        std::vector<const genomics::ReadPair *> prs;
-        prs.reserve(fullDp.size());
-        for (u64 i : fullDp)
-            prs.push_back(&batch.pairs[i]);
-        std::vector<PairMapping> mapped(fullDp.size());
-        ctx.fallback->mapPairsBatch(prs.data(), prs.size(),
-                                    mapped.data());
-        for (std::size_t k = 0; k < fullDp.size(); ++k) {
-            PairMapping &pm = batch.out[fullDp[k]];
-            pm = std::move(mapped[k]);
-            pm.path = MappingPath::FullDpFallback;
-            if (pm.bothMapped() || pm.first.mapped || pm.second.mapped) {
-                ++ctx.stats.fullDpMapped;
-                ++sc.itemsOut;
-            } else {
-                ++ctx.stats.unmapped;
+    // Plan: the distinct chain windows of every full-DP pair (pairs
+    // GenPair could not narrow down), then a left and a right window
+    // for every budgeted candidate of the exit-3 pairs (DP at known
+    // candidates, no seeding or chaining). The per-pair path aligned a
+    // right window only where its left passed minDpScore; here the
+    // right is aligned speculatively and its result, and its cells,
+    // are used only where the left passed, so every mapping and
+    // counter is unchanged.
+    fl.tasks.clear();
+    fl.fullDpPairs.clear();
+    for (u64 i : fl.fullDp)
+        fl.fullDpPairs.push_back(&batch.pairs[i]);
+    ctx.fallback->planPairs(fl.fullDpPairs.data(), fl.fullDpPairs.size(),
+                            fl.tasks);
+    const std::size_t candBase = fl.tasks.size();
+    fl.candidates.clear();
+    for (u64 i : fl.exit3) {
+        for (u32 o = 0; o < 2; ++o) {
+            const OrientRefs refs = orientation(batch, i, o);
+            u32 budget = std::max<u32>(4, ctx.params.maxCandidatePairs / 4);
+            const u64 begin = batch.pairOffsets[2 * i + o];
+            const u64 end = batch.pairOffsets[2 * i + o + 1];
+            for (u64 c = begin; c < end; ++c) {
+                if (budget-- == 0)
+                    break;
+                const CandidatePair &cp = batch.candidatePairs[c];
+                FallbackLists::Candidate cand{ i, o, 0, 0 };
+                cand.leftWindow = ctx.fallback->alignAtTask(
+                    *refs.left, cp.leftStart, ctx.params.dpSlack,
+                    fl.tasks.emplace_back());
+                cand.rightWindow = ctx.fallback->alignAtTask(
+                    *refs.right, cp.rightStart, ctx.params.dpSlack,
+                    fl.tasks.emplace_back());
+                fl.candidates.push_back(cand);
             }
         }
     }
 
-    // Exit 3: DP-align at the known candidate positions (no
-    // seeding/chaining needed). The scalar loop aligned left-then-right
-    // per candidate with the right gated on the left passing; phased
-    // batching keeps that contract — all left windows in one sweep,
-    // then the right windows of passing lefts — so the alignment set
-    // (and with it every counter) is unchanged.
-    if (!exit3.empty()) {
-        struct CandRef
+    // One sweep for the batch.
+    fl.results.resize(fl.tasks.size());
+    ctx.fallback->alignTasks(fl.tasks.data(), fl.tasks.size(),
+                             fl.results.data());
+
+    fl.fullDpOut.resize(fl.fullDp.size());
+    ctx.fallback->finishPairs(fl.results.data(), fl.fullDpOut.data());
+    for (std::size_t k = 0; k < fl.fullDp.size(); ++k) {
+        PairMapping &pm = batch.out[fl.fullDp[k]];
+        pm = std::move(fl.fullDpOut[k]);
+        pm.path = MappingPath::FullDpFallback;
+        if (pm.bothMapped() || pm.first.mapped || pm.second.mapped) {
+            ++ctx.stats.fullDpMapped;
+            ++sc.itemsOut;
+        } else {
+            ++ctx.stats.unmapped;
+        }
+    }
+
+    // Exit-3 selection replay, per pair in candidate-visit order.
+    std::size_t t = 0;
+    for (u64 i : fl.exit3) {
+        struct DpBest
         {
-            u64 pair;
-            u64 cand;     ///< index into batch.candidatePairs
-            u32 orient;
-        };
-        std::vector<CandRef> cands;
-        std::vector<baseline::Mm2Lite::AlignAtTask> leftTasks;
-        for (u64 i : exit3) {
-            for (u32 o = 0; o < 2; ++o) {
-                const OrientRefs refs = orientation(batch, i, o);
-                u32 budget =
-                    std::max<u32>(4, ctx.params.maxCandidatePairs / 4);
-                const u64 begin = batch.pairOffsets[2 * i + o];
-                const u64 end = batch.pairOffsets[2 * i + o + 1];
-                for (u64 c = begin; c < end; ++c) {
-                    if (budget-- == 0)
-                        break;
-                    cands.push_back({ i, c, o });
-                    leftTasks.push_back(
-                        { refs.left,
-                          batch.candidatePairs[c].leftStart,
-                          ctx.params.dpSlack });
-                }
-            }
-        }
+            bool found = false;
+            i64 score = 0;
+            Mapping left;
+            Mapping right;
+            bool read1IsLeft = true;
+        } dpBest;
 
-        std::vector<Mapping> leftRes(cands.size());
-        ctx.fallback->alignAtBatch(leftTasks.data(), leftTasks.size(),
-                                   leftRes.data());
-
-        std::vector<baseline::Mm2Lite::AlignAtTask> rightTasks;
-        std::vector<std::size_t> rightSlot(cands.size(), SIZE_MAX);
-        for (std::size_t t = 0; t < cands.size(); ++t) {
-            const Mapping &lm = leftRes[t];
+        for (; t < fl.candidates.size() && fl.candidates[t].pair == i;
+             ++t) {
+            const FallbackLists::Candidate &cand = fl.candidates[t];
+            align::AlignResult *res = &fl.results[candBase + 2 * t];
+            Mapping lm = ctx.fallback->alignAtResult(std::move(res[0]),
+                                                     cand.leftWindow);
             if (!lm.mapped || lm.score < ctx.params.minDpScore)
                 continue;
-            const OrientRefs refs =
-                orientation(batch, cands[t].pair, cands[t].orient);
-            rightSlot[t] = rightTasks.size();
-            rightTasks.push_back(
-                { refs.right,
-                  batch.candidatePairs[cands[t].cand].rightStart,
-                  ctx.params.dpSlack });
+            Mapping rm = ctx.fallback->alignAtResult(std::move(res[1]),
+                                                     cand.rightWindow);
+            if (!rm.mapped || rm.score < ctx.params.minDpScore)
+                continue;
+            i64 score = static_cast<i64>(lm.score) + rm.score;
+            if (!dpBest.found || score > dpBest.score) {
+                dpBest.found = true;
+                dpBest.score = score;
+                dpBest.left = std::move(lm);
+                dpBest.right = std::move(rm);
+                dpBest.read1IsLeft = cand.orient == 0;
+            }
         }
-        std::vector<Mapping> rightRes(rightTasks.size());
-        ctx.fallback->alignAtBatch(rightTasks.data(), rightTasks.size(),
-                                   rightRes.data());
 
-        // Selection replay, per pair in candidate-visit order.
-        std::size_t t = 0;
-        for (u64 i : exit3) {
-            struct DpBest
-            {
-                bool found = false;
-                i64 score = 0;
-                Mapping left;
-                Mapping right;
-                bool read1IsLeft = true;
-            } dpBest;
-
-            for (; t < cands.size() && cands[t].pair == i; ++t) {
-                Mapping &lm = leftRes[t];
-                if (!lm.mapped || lm.score < ctx.params.minDpScore)
-                    continue;
-                Mapping &rm = rightRes[rightSlot[t]];
-                if (!rm.mapped || rm.score < ctx.params.minDpScore)
-                    continue;
-                i64 score = static_cast<i64>(lm.score) + rm.score;
-                if (!dpBest.found || score > dpBest.score) {
-                    dpBest.found = true;
-                    dpBest.score = score;
-                    dpBest.left = std::move(lm);
-                    dpBest.right = std::move(rm);
-                    dpBest.read1IsLeft = cands[t].orient == 0;
-                }
-            }
-
-            PairMapping &pm = batch.out[i];
-            pm = {};
-            if (dpBest.found) {
-                ++ctx.stats.dpAligned;
-                ++sc.itemsOut;
-                pm.path = MappingPath::DpAlignFallback;
-                dpBest.left.reverse = false;
-                dpBest.right.reverse = true;
-                if (dpBest.read1IsLeft) {
-                    pm.first = std::move(dpBest.left);
-                    pm.second = std::move(dpBest.right);
-                } else {
-                    pm.second = std::move(dpBest.left);
-                    pm.first = std::move(dpBest.right);
-                }
+        PairMapping &pm = batch.out[i];
+        pm = {};
+        if (dpBest.found) {
+            ++ctx.stats.dpAligned;
+            ++sc.itemsOut;
+            pm.path = MappingPath::DpAlignFallback;
+            dpBest.left.reverse = false;
+            dpBest.right.reverse = true;
+            if (dpBest.read1IsLeft) {
+                pm.first = std::move(dpBest.left);
+                pm.second = std::move(dpBest.right);
             } else {
-                ++ctx.stats.unmapped;
-                pm.path = MappingPath::Unmapped;
+                pm.second = std::move(dpBest.left);
+                pm.first = std::move(dpBest.right);
             }
+        } else {
+            ++ctx.stats.unmapped;
+            pm.path = MappingPath::Unmapped;
         }
     }
 }

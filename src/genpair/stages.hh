@@ -10,9 +10,9 @@
  * and bumps its StageCounters. Per-pair work is bit-identical to
  * per-pair execution — the golden-corpus SAM digest pins that. The
  * PairBatch keeps its lanes (revComp storage, CSR candidate stores,
- * light-alignment bit planes and mask staging) across batches; the
- * light-align and fallback stages still build their per-batch work
- * lists afresh on every call.
+ * light-alignment bit planes and mask staging, the fallback's work
+ * lists) across batches; the light-align stage still builds its
+ * per-batch work lists afresh on every call.
  *
  * Lane convention (a proper FR pair maps one read forward and the other
  * reverse-complemented; both fragment orientations are evaluated):
@@ -115,6 +115,33 @@ struct PairTraceRecord
     void writeText(std::ostream &os) const;
 };
 
+/**
+ * The fallback stage's per-batch work lists. Every DP alignment of a
+ * batch runs in one fitAlignBatch() sweep over `tasks`: first the
+ * distinct chain windows of the full-DP pairs (Mm2Lite::planPairs()),
+ * then a left and a right window for each budgeted exit-3 candidate.
+ */
+struct FallbackLists
+{
+    /** One budgeted exit-3 candidate pair; its left window's task is
+     *  the (2k)-th after the full-DP tasks, its right window's the next. */
+    struct Candidate
+    {
+        u64 pair;
+        u32 orient;
+        GlobalPos leftWindow; ///< window starts (Mm2Lite::alignAtTask())
+        GlobalPos rightWindow;
+    };
+
+    std::vector<u64> fullDp; ///< exits 1+2: full seed-chain-align DP
+    std::vector<u64> exit3;  ///< exit 3: DP at known candidate pairs
+    std::vector<const genomics::ReadPair *> fullDpPairs;
+    std::vector<genomics::PairMapping> fullDpOut;
+    std::vector<Candidate> candidates;
+    std::vector<align::FitTask> tasks;
+    std::vector<align::AlignResult> results; ///< results[t] of tasks[t]
+};
+
 /** The structure-of-arrays batch flowing through the stage graph. */
 struct PairBatch
 {
@@ -142,6 +169,8 @@ struct PairBatch
     std::vector<u8> lightLeftValid;
     std::vector<u8> lightRightValid;
     LightBatchScratch lightBatch;
+
+    FallbackLists fallback;
 
     /** Bind a run and size the SoA lanes (capacity is kept). */
     void bind(const genomics::ReadPair *p, u64 n,

@@ -102,6 +102,160 @@ TEST(MinimizerIndex, UnknownHashEmpty)
     EXPECT_TRUE(index.lookup(0xDEADBEEFDEADBEEFull).empty());
 }
 
+/** One row of the sorted (hash, position) minimizer table. */
+struct TableRow
+{
+    u64 hash;
+    GlobalPos pos;
+    bool reverse;
+};
+
+/**
+ * The table MinimizerIndex stores, rebuilt independently: every
+ * minimizer of every chromosome sorted by (hash, position), hashes
+ * over maxOccurrences dropped.
+ */
+std::vector<TableRow>
+sortedTable(const Reference &ref, const MinimizerParams &mp)
+{
+    std::vector<TableRow> all;
+    for (u32 c = 0; c < ref.numChromosomes(); ++c)
+        for (const auto &m : extractMinimizers(ref.chromosome(c), mp))
+            all.push_back({ m.hash, ref.chromosomeStart(c) + m.pos,
+                            m.reverse });
+    std::sort(all.begin(), all.end(), [](const auto &a, const auto &b) {
+        return a.hash != b.hash ? a.hash < b.hash : a.pos < b.pos;
+    });
+    std::vector<TableRow> table;
+    for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
+        while (j < all.size() && all[j].hash == all[i].hash)
+            ++j;
+        if (j - i <= mp.maxOccurrences)
+            table.insert(table.end(), all.begin() + i, all.begin() + j);
+    }
+    return table;
+}
+
+/** The oracle: what a binary search over the sorted table returns. */
+void
+expectLookupMatchesSearch(const MinimizerIndex &index,
+                          const std::vector<TableRow> &table, u64 hash)
+{
+    auto lo = std::lower_bound(
+        table.begin(), table.end(), hash,
+        [](const TableRow &r, u64 h) { return r.hash < h; });
+    auto hi = lo;
+    while (hi != table.end() && hi->hash == hash)
+        ++hi;
+    auto got = index.lookup(hash);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(hi - lo))
+        << "hash " << hash;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].pos, lo[k].pos) << "hash " << hash;
+        EXPECT_EQ(got[k].reverse, lo[k].reverse) << "hash " << hash;
+    }
+}
+
+TEST(MinimizerIndex, LookupMatchesBinarySearchOverTheTable)
+{
+    // Two repeat-rich chromosomes and a low occurrence cap, so the
+    // table has multi-entry hashes and filtered ones.
+    simdata::GenomeParams gp;
+    gp.length = 300000;
+    gp.chromosomes = 2;
+    gp.seed = 5;
+    Reference ref = simdata::generateGenome(gp);
+    MinimizerParams mp;
+    mp.maxOccurrences = 3;
+    MinimizerIndex index(ref, mp);
+    const std::vector<TableRow> table = sortedTable(ref, mp);
+    ASSERT_EQ(index.numEntries(), table.size());
+
+    // Every extracted hash (indexed or over the cap) and its
+    // neighbours, which are mostly absent.
+    u32 filtered = 0;
+    for (u32 c = 0; c < ref.numChromosomes(); ++c) {
+        for (const auto &m : extractMinimizers(ref.chromosome(c), mp)) {
+            filtered += index.lookup(m.hash).empty();
+            for (u64 h : { m.hash, m.hash - 1, m.hash + 1 })
+                expectLookupMatchesSearch(index, table, h);
+        }
+    }
+    EXPECT_GT(filtered, 0u);
+
+    // Absent hashes: random 2k-bit values, both ends of the hash
+    // range and values wider than any 2k-bit hash.
+    const u64 range = u64{ 1 } << (2 * mp.k);
+    util::Pcg32 rng(9);
+    for (int i = 0; i < 20000; ++i)
+        expectLookupMatchesSearch(
+            index, table, ((u64{ rng.next() } << 32) | rng.next()) % range);
+    for (u64 h : { u64{ 0 }, u64{ 1 }, range - 2, range - 1, range,
+                   range + 1, ~u64{ 0 } })
+        expectLookupMatchesSearch(index, table, h);
+}
+
+TEST(MinimizerIndex, LookupInTheFirstAndLastBucketsOfASparseDirectory)
+{
+    // One k-mer per chromosome, so each chromosome adds exactly one
+    // minimizer: three with hashes in the lowest 1/64 of the 2k-bit
+    // range, three in the highest, four anywhere. Ten hashes get a
+    // directory of at least 16 buckets, so the index has fewer hashes
+    // than buckets and the low/high ones sit in the first/last bucket.
+    MinimizerParams mp;
+    const u64 range = u64{ 1 } << (2 * mp.k);
+    util::Pcg32 rng(3);
+    Reference ref;
+    u32 low = 0, high = 0, any = 0;
+    std::vector<u64> picked;
+    while (low + high + any < 10) {
+        std::string kmer;
+        for (u32 i = 0; i < mp.k; ++i)
+            kmer.push_back(genomics::baseToChar(rng.below(4)));
+        const DnaSequence seq(kmer);
+        auto mins = extractMinimizers(seq, mp);
+        if (mins.size() != 1)
+            continue; // palindrome
+        const u64 h = mins[0].hash;
+        const bool isLow = h < range / 64, isHigh = h >= range - range / 64;
+        if (isLow ? low == 3 : isHigh ? high == 3 : any == 4)
+            continue;
+        (isLow ? low : isHigh ? high : any) += 1;
+        picked.push_back(h);
+        ref.addChromosome(std::to_string(picked.size()), DnaSequence(kmer));
+    }
+    MinimizerIndex index(ref, mp);
+    const std::vector<TableRow> table = sortedTable(ref, mp);
+    ASSERT_EQ(table.size(), 10u);
+    const u32 bits = index.directoryBits();
+    ASSERT_GE(bits, 4u);
+    ASSERT_LE(bits, 6u);
+    const u32 shift = 2 * mp.k - bits;
+    u32 inFirst = 0, inLast = 0;
+    for (u64 h : picked) {
+        inFirst += (h >> shift) == 0;
+        inLast += (h >> shift) == (u64{ 1 } << bits) - 1;
+        for (u64 probe : { h, h - 1, h + 1 })
+            expectLookupMatchesSearch(index, table, probe);
+    }
+    EXPECT_GE(inFirst, 3u);
+    EXPECT_GE(inLast, 3u);
+    for (u64 h : { u64{ 0 }, u64{ 1 }, range - 1, range, ~u64{ 0 } })
+        expectLookupMatchesSearch(index, table, h);
+}
+
+TEST(MinimizerIndex, ReferenceShorterThanK)
+{
+    Reference ref;
+    ref.addChromosome("short", DnaSequence("ACGTACGTAC"));
+    MinimizerParams mp;
+    MinimizerIndex index(ref, mp);
+    EXPECT_EQ(index.numEntries(), 0u);
+    const u64 range = u64{ 1 } << (2 * mp.k);
+    for (u64 h : { u64{ 0 }, u64{ 12345 }, range - 1, range, ~u64{ 0 } })
+        EXPECT_TRUE(index.lookup(h).empty()) << h;
+}
+
 class Mm2LiteTest : public ::testing::Test
 {
   protected:
@@ -205,7 +359,7 @@ TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
     // A 2.4 kbp tandem repeat of a 24 bp unit (a few point mutations
     // apart) inside random sequence: reads in it chain against many
     // copies, and chains with the same expected start build the same
-    // alignment window, which mapPairsBatch aligns once.
+    // alignment window, which planPairs plans as one task.
     util::Pcg32 rng(77);
     std::string chrom;
     for (int i = 0; i < 20000; ++i)
@@ -239,8 +393,12 @@ TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
     std::vector<const genomics::ReadPair *> ptrs;
     for (const auto &p : pairs)
         ptrs.push_back(&p);
+    std::vector<align::FitTask> tasks;
+    batched.planPairs(ptrs.data(), ptrs.size(), tasks);
+    std::vector<align::AlignResult> results(tasks.size());
+    batched.alignTasks(tasks.data(), tasks.size(), results.data());
     std::vector<genomics::PairMapping> got(pairs.size());
-    batched.mapPairsBatch(ptrs.data(), ptrs.size(), got.data());
+    batched.finishPairs(results.data(), got.data());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         SCOPED_TRACE("pair " + std::to_string(i));
         const genomics::PairMapping want = single.mapPair(pairs[i]);
@@ -250,6 +408,12 @@ TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
     }
     EXPECT_EQ(single.dpWork().alignCells, batched.dpWork().alignCells);
     EXPECT_EQ(single.dpWork().chainCells, batched.dpWork().chainCells);
+    // Shared windows were aligned once: the distinct tasks hold fewer
+    // cells than the per-chain count.
+    u64 alignedCells = 0;
+    for (const auto &r : results)
+        alignedCells += r.cellUpdates;
+    EXPECT_LT(alignedCells, batched.dpWork().alignCells);
 }
 
 TEST(Mm2LiteSimulated, HighAccuracyOnSimulatedPairs)

@@ -11,8 +11,8 @@ namespace {
 
 using namespace gpx;
 using align::Anchor;
+using align::Chain;
 using align::ChainParams;
-using align::chainAnchors;
 
 ChainParams
 lenientParams()
@@ -20,6 +20,16 @@ lenientParams()
     ChainParams p;
     p.minScore = 10;
     return p;
+}
+
+/** The chains of one chainAnchors() call from a fresh scratch. */
+std::vector<Chain>
+chainAnchors(const std::vector<Anchor> &anchors, const ChainParams &params)
+{
+    align::ChainScratch scratch;
+    std::vector<Chain> chains;
+    align::chainAnchors(anchors, params, scratch, chains);
+    return chains;
 }
 
 TEST(Chain, EmptyInput)
@@ -45,7 +55,7 @@ TEST(Chain, ColinearAnchorsMerge)
     };
     auto chains = chainAnchors(anchors, lenientParams());
     ASSERT_GE(chains.size(), 1u);
-    EXPECT_EQ(chains[0].anchorIdx.size(), 3u);
+    EXPECT_EQ(chains[0].numAnchors, 3u);
     EXPECT_EQ(chains[0].queryStart, 0u);
     EXPECT_EQ(chains[0].queryEnd, 81u);
 }
@@ -59,7 +69,7 @@ TEST(Chain, DistantAnchorsSeparate)
     auto chains = chainAnchors(anchors, lenientParams());
     // Each anchor can only stand alone (score 21 each).
     for (const auto &c : chains)
-        EXPECT_EQ(c.anchorIdx.size(), 1u);
+        EXPECT_EQ(c.numAnchors, 1u);
 }
 
 TEST(Chain, SkewPenaltyBreaksDiagonalJumps)
@@ -72,7 +82,7 @@ TEST(Chain, SkewPenaltyBreaksDiagonalJumps)
     };
     auto chains = chainAnchors(anchors, p);
     for (const auto &c : chains)
-        EXPECT_EQ(c.anchorIdx.size(), 1u);
+        EXPECT_EQ(c.numAnchors, 1u);
 }
 
 TEST(Chain, BestChainFirst)
@@ -117,7 +127,58 @@ TEST(Chain, OverlappingAnchorsNotChained)
     };
     auto chains = chainAnchors(anchors, lenientParams());
     for (const auto &c : chains)
-        EXPECT_LE(c.anchorIdx.size(), 1u);
+        EXPECT_LE(c.numAnchors, 1u);
+}
+
+TEST(Chain, CellsAreCountedWhenNoChainSurvives)
+{
+    // Three colinear anchors score about 63 as one chain, below
+    // minScore: no chain is kept, yet the pass examined three
+    // (anchor, predecessor) pairs.
+    ChainParams p;
+    p.minScore = 100;
+    std::vector<Anchor> anchors = {
+        { 0, 1000, 21, false },
+        { 30, 1030, 21, false },
+        { 60, 1060, 21, false },
+    };
+    align::ChainScratch scratch;
+    std::vector<Chain> chains;
+    const u64 cells = align::chainAnchors(anchors, p, scratch, chains);
+    EXPECT_TRUE(chains.empty());
+    EXPECT_EQ(cells, 3u); // anchor i examines its i predecessors
+}
+
+TEST(Chain, AppendsAfterEarlierChainsAndReusesScratch)
+{
+    // Mm2Lite chains both strands into one list through one scratch:
+    // the second call appends, and a warm scratch gives the same
+    // chains as a fresh one.
+    std::vector<Anchor> fwd = {
+        { 0, 1000, 21, false },
+        { 30, 1030, 21, false },
+    };
+    std::vector<Anchor> rev = {
+        { 0, 5000, 21, true },
+        { 40, 5040, 21, true },
+        { 80, 5080, 21, true },
+    };
+    align::ChainScratch scratch;
+    std::vector<Chain> chains;
+    EXPECT_EQ(align::chainAnchors(fwd, lenientParams(), scratch, chains),
+              1u);
+    EXPECT_EQ(align::chainAnchors(rev, lenientParams(), scratch, chains),
+              3u);
+    ASSERT_EQ(chains.size(), 2u);
+    EXPECT_FALSE(chains[0].reverse);
+    EXPECT_EQ(chains[0].numAnchors, 2u);
+    EXPECT_TRUE(chains[1].reverse);
+    EXPECT_EQ(chains[1].numAnchors, 3u);
+    EXPECT_EQ(chains[1].refStart, 5000u);
+    EXPECT_EQ(chains[1].queryEnd, 101u);
+    EXPECT_DOUBLE_EQ(chains[1].score, chainAnchors(rev, lenientParams())
+                                          .front()
+                                          .score);
 }
 
 } // namespace

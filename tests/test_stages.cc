@@ -267,6 +267,125 @@ TEST_F(StageGraphTest, TraceRecordsMatchRouting)
     expectMappingsEqual(plain, out);
 }
 
+TEST_F(StageGraphTest, OneDpSweepMatchesScalarFallbackCallsInTheOldOrder)
+{
+    // The fixture's pairs plus pairs whose read 1 keeps a clean first
+    // half and a random tail: the clean half's seeds give candidate
+    // pairs, light alignment rejects them (exit 3), and the left
+    // window's full-read DP falls below minDpScore, so the right
+    // window's speculative alignment must be dropped uncounted.
+    std::vector<genomics::ReadPair> pairs = pairs_;
+    util::Pcg32 rng(99);
+    for (int i = 0; i < 8; ++i) {
+        const u64 a = 5000 + static_cast<u64>(i) * 9000;
+        genomics::ReadPair half;
+        half.first.name = "half" + std::to_string(i);
+        half.first.seq = ref_.windowView(a, 150).materialize();
+        for (std::size_t j = 80; j < 150; ++j)
+            half.first.seq.set(j, static_cast<u8>(rng.next() & 3));
+        half.second.name = half.first.name;
+        half.second.seq =
+            ref_.windowView(a + 250, 150).materialize().revComp();
+        pairs.push_back(std::move(half));
+    }
+
+    const genpair::GenPairParams params;
+    const genpair::SeedMapView view = map_->view();
+    genpair::PartitionedSeeder seeder(view);
+    genpair::LightAligner light(ref_, params.light);
+    baseline::Mm2Lite batched(ref_, baseline::Mm2LiteParams{});
+    genpair::PipelineStats stats;
+    const genpair::StageContext ctx{ ref_,  view,    params,   seeder,
+                                     light, nullptr, &batched, stats };
+    std::vector<genomics::PairMapping> out(pairs.size());
+    genpair::PairBatch batch;
+    batch.bind(pairs.data(), pairs.size(), out.data(), nullptr);
+    genpair::runSeedStage(ctx, batch);
+    genpair::runQueryStage(ctx, batch);
+    genpair::runPaFilterStage(ctx, batch);
+    genpair::runLightAlignStage(ctx, batch);
+
+    // The per-pair path on a second engine: mapPair() for exits 1-2;
+    // for exit 3, alignAt() on each budgeted candidate's left window,
+    // then on its right window only where the left passed.
+    baseline::Mm2Lite scalar(ref_, baseline::Mm2LiteParams{});
+    std::vector<genomics::PairMapping> want(pairs.size());
+    u64 fullDp = 0, exit3 = 0, leftMisses = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const genpair::PairRoute route = batch.route[i];
+        if (route == genpair::PairRoute::LightAligned)
+            continue;
+        genomics::PairMapping &pm = want[i];
+        if (route != genpair::PairRoute::LightFallback) {
+            ++fullDp;
+            pm = scalar.mapPair(pairs[i]);
+            pm.path = genomics::MappingPath::FullDpFallback;
+            continue;
+        }
+        ++exit3;
+        const genomics::DnaSequence rc1 = pairs[i].first.seq.revComp();
+        const genomics::DnaSequence rc2 = pairs[i].second.seq.revComp();
+        bool found = false;
+        i64 best = 0;
+        for (u32 o = 0; o < 2; ++o) {
+            const genomics::DnaSequence &left =
+                o == 0 ? pairs[i].first.seq : pairs[i].second.seq;
+            const genomics::DnaSequence &right = o == 0 ? rc2 : rc1;
+            u32 budget = std::max<u32>(4, params.maxCandidatePairs / 4);
+            for (u64 c = batch.pairOffsets[2 * i + o];
+                 c < batch.pairOffsets[2 * i + o + 1]; ++c) {
+                if (budget-- == 0)
+                    break;
+                const genpair::CandidatePair &cp = batch.candidatePairs[c];
+                genomics::Mapping lm =
+                    scalar.alignAt(left, cp.leftStart, params.dpSlack);
+                if (!lm.mapped || lm.score < params.minDpScore) {
+                    ++leftMisses;
+                    continue;
+                }
+                genomics::Mapping rm =
+                    scalar.alignAt(right, cp.rightStart, params.dpSlack);
+                if (!rm.mapped || rm.score < params.minDpScore)
+                    continue;
+                const i64 score = static_cast<i64>(lm.score) + rm.score;
+                if (found && score <= best)
+                    continue;
+                found = true;
+                best = score;
+                lm.reverse = false;
+                rm.reverse = true;
+                pm.path = genomics::MappingPath::DpAlignFallback;
+                pm.first = o == 0 ? lm : rm;
+                pm.second = o == 0 ? rm : lm;
+            }
+        }
+        if (!found)
+            pm.path = genomics::MappingPath::Unmapped;
+    }
+    EXPECT_GT(fullDp, 0u);
+    EXPECT_GT(exit3, 0u);
+    EXPECT_GT(leftMisses, 0u);
+
+    genpair::runFallbackStage(ctx, batch);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        if (batch.route[i] == genpair::PairRoute::LightAligned)
+            continue;
+        SCOPED_TRACE("pair " + std::to_string(i));
+        EXPECT_EQ(out[i].path, want[i].path);
+        for (const auto &[got, exp] :
+             { std::pair{ &out[i].first, &want[i].first },
+               std::pair{ &out[i].second, &want[i].second } }) {
+            EXPECT_EQ(got->mapped, exp->mapped);
+            EXPECT_EQ(got->pos, exp->pos);
+            EXPECT_EQ(got->reverse, exp->reverse);
+            EXPECT_EQ(got->score, exp->score);
+            EXPECT_EQ(got->cigar.toString(), exp->cigar.toString());
+        }
+    }
+    EXPECT_EQ(batched.dpWork().alignCells, scalar.dpWork().alignCells);
+    EXPECT_EQ(batched.dpWork().chainCells, scalar.dpWork().chainCells);
+}
+
 TEST(AffineOracleTest, BranchlessEngineMatchesReference)
 {
     util::Pcg32 rng(7);
