@@ -33,11 +33,13 @@ run_step(${GPX_MAPEVAL} --ref ${WORK_DIR}/sim.fa
     --min-correct 90)
 
 # --stats-json must carry the full PipelineStats, including the
-# per-stage counters of the stage graph and the I/O spine's stall
-# accounting (reader-starved vs emission-bound seconds).
+# per-stage counters of the stage graph, the I/O spine's stall
+# accounting (reader-starved vs emission-bound seconds) and the time of
+# its serial ends (scan, parse, render).
 file(READ ${WORK_DIR}/stats.json STATS_JSON)
 foreach(key pairs_total light_aligned stages light_align fallback
-        reader_stall_seconds writer_stall_seconds)
+        reader_stall_seconds writer_stall_seconds scan_seconds
+        parse_seconds render_seconds)
     if(NOT STATS_JSON MATCHES "\"${key}\"")
         message(FATAL_ERROR "stats.json is missing key '${key}'")
     endif()

@@ -132,6 +132,9 @@ class FastqReader
     bool warnedAmbiguous_ = false;
     bool poisoned_ = false;
     std::string lastError_;
+    /** Line buffers, reused across records. */
+    std::string header_;
+    std::string seq_;
 };
 
 } // namespace genomics

@@ -7,6 +7,38 @@
 namespace gpx {
 namespace genomics {
 
+namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+/** Past glibc's largest mmap threshold: 32 MiB on 64-bit (mallopt(3)). */
+constexpr std::size_t kOwnMapping = 32 * kMiB + 4096;
+
+/**
+ * Capacity in bytes for a per-chunk buffer (a chunk text, a chunk's
+ * pairs) expected to hold @p bytes. One of a mebibyte or more gets at
+ * least kOwnMapping, so glibc always serves it with its own mapping:
+ * freeing it returns the memory to the system and leaves the dynamic
+ * mmap threshold alone. Sized to fit, such a buffer would be below
+ * that ceiling; its free would raise the threshold to its size, and
+ * the next ones would come from thread arenas, which keep what is
+ * freed and, as each run's new threads take over the old arenas,
+ * grow run after run. Pages never written cost no resident memory.
+ */
+std::size_t
+chunkCapacity(std::size_t bytes)
+{
+    return bytes < kMiB ? bytes : std::max(bytes, kOwnMapping);
+}
+
+/** chunkCapacity for the text of a chunk like one of @p last bytes. */
+std::size_t
+textCapacity(std::size_t last)
+{
+    return chunkCapacity(last + last / 16);
+}
+
+} // namespace
+
 u64
 SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
 {
@@ -14,17 +46,18 @@ SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
     if (eof_)
         return 0;
     u64 records = 0;
-    std::string line;
-    std::string record; // staged so a source failure drops the tail
     while (records < max_records) {
-        record.clear();
+        // The record's lines go straight into the text; a source
+        // failure rolls the text back here, dropping the staged tail.
+        const std::size_t recordStart = text.size();
         bool haveHeader = false;
-        while (lines_.getline(line)) {
-            std::size_t len = line.size();
-            if (len > 0 && line.back() == '\r')
+        for (;;) {
+            const std::size_t lineStart = text.size();
+            if (!lines_.appendLine(text))
+                break;
+            std::size_t len = text.size() - lineStart - 1;
+            if (len > 0 && text[lineStart + len - 1] == '\r')
                 --len; // CR-stripped emptiness, same test as the parser
-            record.append(line);
-            record.push_back('\n');
             if (len > 0) {
                 haveHeader = true;
                 break;
@@ -34,30 +67,24 @@ SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
             eof_ = true;
             // Trailing blank lines are part of the stream (the parser
             // skips them identically); a source failure keeps nothing.
-            if (lines_.error().empty())
-                text.append(record);
+            if (!lines_.error().empty())
+                text.resize(recordStart);
             return records;
         }
         bool truncated = false;
-        for (int i = 0; i < 3 && !truncated; ++i) {
-            if (!lines_.getline(line)) {
-                truncated = true;
-            } else {
-                record.append(line);
-                record.push_back('\n');
-            }
-        }
+        for (int i = 0; i < 3 && !truncated; ++i)
+            truncated = !lines_.appendLine(text);
         if (truncated) {
             eof_ = true;
             if (lines_.error().empty()) {
                 // Genuine EOF mid-record: ship the tail so the parse
                 // worker reproduces the serial truncation diagnostic.
-                text.append(record);
                 partial_tail = true;
+            } else {
+                text.resize(recordStart);
             }
             return records;
         }
-        text.append(record);
         ++records;
     }
     return records;
@@ -80,6 +107,10 @@ PairedFastqChunker::next(FastqChunk &chunk)
     chunk.pairs = 0;
     chunk.r1Text.clear();
     chunk.r2Text.clear();
+    // Chunks of one run are alike: each text is sized once, for the
+    // previous chunk's bytes, instead of growing by doubling.
+    chunk.r1Text.reserve(textCapacity(lastR1Bytes_));
+    chunk.r2Text.reserve(textCapacity(lastR2Bytes_));
     chunk.scanError = IngestError{};
     bool p1 = false;
     bool p2 = false;
@@ -130,9 +161,17 @@ PairedFastqChunker::next(FastqChunk &chunk)
             break;
         }
         ++chunk.pairs;
+        // A text that passes 1 MiB without a reservation (the first
+        // chunk, or one larger than the last) moves to its own mapping.
+        for (std::string *text : {&chunk.r1Text, &chunk.r2Text}) {
+            if (text->size() >= kMiB && text->capacity() < kOwnMapping)
+                text->reserve(kOwnMapping);
+        }
     }
     pairsScanned_ += chunk.pairs;
     ++nextSeq_;
+    lastR1Bytes_ = chunk.r1Text.size();
+    lastR2Bytes_ = chunk.r2Text.size();
     if (chunk.pairs == 0 && !chunk.scanError.set() &&
         chunk.r1Text.empty() && chunk.r2Text.empty())
         return false; // nothing at all: suppress the empty terminal chunk
@@ -150,33 +189,34 @@ parseFastqChunk(FastqChunk &&chunk, std::atomic<bool> *warned_ambiguous)
     FastqReader r1(s1, chunk.recordBase, warned_ambiguous);
     FastqReader r2(s2, chunk.recordBase, warned_ambiguous);
 
-    auto parseAll = [&](FastqReader &reader, std::vector<Read> &reads,
+    // Both streams parse straight into the pairs. Around a stream
+    // error a slice may hold one record past chunk.pairs (or a
+    // truncated tail); such a record parses into a spare, so its
+    // diagnostics and ambiguous bases count as the serial reader's do.
+    out.pairs.reserve(chunkCapacity(chunk.pairs * sizeof(ReadPair)) /
+                      sizeof(ReadPair));
+    out.pairs.resize(chunk.pairs);
+    Read spare;
+    auto parseAll = [&](FastqReader &reader, Read ReadPair::*mate,
                         int rank) {
-        IngestError candidate;
-        Read rec;
         std::string err;
-        for (;;) {
-            switch (reader.tryNext(rec, &err)) {
+        for (u64 i = 0;; ++i) {
+            Read &dst = i < out.pairs.size() ? out.pairs[i].*mate : spare;
+            switch (reader.tryNext(dst, &err)) {
             case FastqParse::kRecord:
-                reads.push_back(std::move(rec));
                 continue;
             case FastqParse::kError:
-                candidate = {chunk.recordBase + reader.recordsRead() + 1,
-                             rank, std::move(err)};
-                break;
+                return IngestError{
+                    chunk.recordBase + reader.recordsRead() + 1, rank,
+                    std::move(err)};
             case FastqParse::kEof:
-                break;
+                return IngestError{};
             }
-            return candidate;
         }
     };
 
-    std::vector<Read> reads1;
-    std::vector<Read> reads2;
-    reads1.reserve(chunk.pairs);
-    reads2.reserve(chunk.pairs);
-    IngestError e1 = parseAll(r1, reads1, 0);
-    IngestError e2 = parseAll(r2, reads2, 1);
+    IngestError e1 = parseAll(r1, &ReadPair::first, 0);
+    IngestError e2 = parseAll(r2, &ReadPair::second, 1);
     out.r1Stats = r1.stats();
     out.r2Stats = r2.stats();
 
@@ -186,16 +226,8 @@ parseFastqChunk(FastqChunk &&chunk, std::atomic<bool> *warned_ambiguous)
     if (chunk.scanError.before(out.error))
         out.error = chunk.scanError;
 
-    const std::size_t n =
-        std::min({reads1.size(), reads2.size(),
-                  static_cast<std::size_t>(chunk.pairs)});
-    out.pairs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ReadPair pair;
-        pair.first = std::move(reads1[i]);
-        pair.second = std::move(reads2[i]);
-        out.pairs.push_back(std::move(pair));
-    }
+    out.pairs.resize(
+        std::min({r1.recordsRead(), r2.recordsRead(), chunk.pairs}));
     return out;
 }
 

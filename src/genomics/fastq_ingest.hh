@@ -108,10 +108,11 @@ class SliceScanner
 
     /**
      * Append up to @p max_records complete records (raw text,
-     * newline-terminated lines) to @p text. Returns the number of
-     * complete records appended. A record cut off by EOF is still
-     * appended — with @p partial_tail set — so the parser reproduces
-     * the serial truncation diagnostic.
+     * newline-terminated lines) to @p text, copied once from the source
+     * block. Returns the number of complete records appended. A record
+     * cut off by EOF is still appended — with @p partial_tail set — so
+     * the parser reproduces the serial truncation diagnostic; one cut
+     * off by a source failure is removed again.
      */
     u64 scan(u64 max_records, std::string &text, bool &partial_tail);
 
@@ -151,6 +152,8 @@ class PairedFastqChunker
     const u64 chunkPairs_;
     u64 nextSeq_ = 0;
     u64 pairsScanned_ = 0;
+    std::size_t lastR1Bytes_ = 0; ///< previous chunk's texts, for reserve
+    std::size_t lastR2Bytes_ = 0;
     bool done_ = false;
 };
 

@@ -1,14 +1,44 @@
 #include "genomics/sam.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <ostream>
-#include <sstream>
 
 #include "util/fault.hh"
 #include "util/logging.hh"
 
 namespace gpx {
 namespace genomics {
+
+namespace {
+
+/**
+ * Bytes of a record beyond its name, sequence, CIGAR and reference
+ * names: 11 tabs, the newline, "*" for QUAL, "AS:i:" and the widest
+ * FLAG, POS, MAPQ, PNEXT, TLEN and AS values, rounded up.
+ */
+constexpr std::size_t kRecordFixedBytes = 128;
+/** Widest CIGAR element: a u32 length and its op. */
+constexpr std::size_t kCigarElemBytes = 11;
+/** to_chars limit for any 64-bit value (20 digits and a sign). */
+constexpr std::size_t kIntBytes = 21;
+
+char *
+put(char *p, std::string_view s)
+{
+    std::memcpy(p, s.data(), s.size());
+    return p + s.size();
+}
+
+template <typename T>
+char *
+putInt(char *p, T value)
+{
+    return std::to_chars(p, p + kIntBytes, value).ptr;
+}
+
+} // namespace
 
 SamWriter::SamWriter(std::ostream &os, const Reference &ref,
                      u32 max_proper_insert)
@@ -25,7 +55,7 @@ SamWriter::checkWrites(std::string label, bool fatal_on_error)
 }
 
 void
-SamWriter::commit(const std::string &rendered)
+SamWriter::commit(std::string_view rendered)
 {
     if (writeFailed_)
         return; // latched: drop output, the caller already has the error
@@ -52,46 +82,65 @@ SamWriter::commit(const std::string &rendered)
         bytesWritten_ += rendered.size();
 }
 
-void
-SamWriter::writeHeader()
+char *
+SamWriter::reserve(std::size_t bytes)
 {
-    std::ostringstream buf;
-    buf << "@HD\tVN:1.6\tSO:unknown\n";
-    for (u32 c = 0; c < ref_.numChromosomes(); ++c) {
-        buf << "@SQ\tSN:" << ref_.name(c)
-            << "\tLN:" << ref_.chromosomeLength(c) << '\n';
-    }
-    buf << "@PG\tID:genpairx\tPN:genpairx\tVN:1.0\n";
-    commit(buf.str());
+    if (buf_.size() - used_ < bytes)
+        buf_.resize(std::max(2 * buf_.size(), used_ + bytes));
+    return buf_.data() + used_;
 }
 
 void
-SamWriter::writeRecord(std::ostream &os, const Read &read,
-                       const Mapping &mapping, u32 flags,
-                       const Mapping *mate, i64 tlen)
+SamWriter::flush()
 {
-    std::string rname = "*";
+    commit(std::string_view(buf_.data(), used_));
+    used_ = 0;
+}
+
+void
+SamWriter::writeHeader()
+{
+    std::size_t bytes = 128; // @HD and @PG
+    for (u32 c = 0; c < ref_.numChromosomes(); ++c)
+        bytes += ref_.name(c).size() + 16 + kIntBytes;
+    char *p = reserve(bytes);
+    p = put(p, "@HD\tVN:1.6\tSO:unknown\n");
+    for (u32 c = 0; c < ref_.numChromosomes(); ++c) {
+        p = put(p, "@SQ\tSN:");
+        p = put(p, ref_.name(c));
+        p = put(p, "\tLN:");
+        p = putInt(p, ref_.chromosomeLength(c));
+        *p++ = '\n';
+    }
+    p = put(p, "@PG\tID:genpairx\tPN:genpairx\tVN:1.0\n");
+    used_ = static_cast<std::size_t>(p - buf_.data());
+    flush();
+}
+
+void
+SamWriter::appendRecord(const Read &read, const Mapping &mapping,
+                        const ChromPos &cp, u32 flags, const Mapping *mate,
+                        const ChromPos &mate_cp, i64 tlen)
+{
+    std::string_view rname = "*";
     u64 pos1 = 0;
-    std::string cigar = "*";
     if (mapping.mapped) {
-        ChromPos cp = ref_.toChromPos(mapping.pos);
         rname = ref_.name(cp.chrom);
         pos1 = cp.offset + 1; // SAM is 1-based
-        cigar = mapping.cigar.empty() ? "*" : mapping.cigar.toString();
         if (mapping.reverse)
             flags |= kSamReverse;
     } else {
         flags |= kSamUnmapped;
     }
 
-    std::string rnext = "*";
+    std::string_view rnext = "*";
     u64 pnext = 0;
-    if (mate) {
+    if (mate != nullptr) {
         if (mate->mapped) {
-            ChromPos mcp = ref_.toChromPos(mate->pos);
-            rnext = ref_.name(mcp.chrom) == rname ? "="
-                                                  : ref_.name(mcp.chrom);
-            pnext = mcp.offset + 1;
+            const std::string &mateName = ref_.name(mate_cp.chrom);
+            rnext = mateName == rname ? std::string_view("=")
+                                      : std::string_view(mateName);
+            pnext = mate_cp.offset + 1;
             if (mate->reverse)
                 flags |= kSamMateReverse;
         } else {
@@ -99,35 +148,66 @@ SamWriter::writeRecord(std::ostream &os, const Read &read,
         }
     }
 
+    const std::vector<CigarElem> &cigar = mapping.cigar.elems();
+    char *p = reserve(read.name.size() + read.seq.size() + rname.size() +
+                      rnext.size() + kCigarElemBytes * cigar.size() +
+                      kRecordFixedBytes);
+    p = put(p, read.name);
+    *p++ = '\t';
+    p = putInt(p, flags);
+    *p++ = '\t';
+    p = put(p, rname);
+    *p++ = '\t';
+    p = putInt(p, pos1);
+    *p++ = '\t';
+    p = putInt(p, mapping.mapped ? 60u : 0u);
+    *p++ = '\t';
+    if (!mapping.mapped || cigar.empty()) {
+        *p++ = '*';
+    } else {
+        for (const CigarElem &e : cigar) {
+            p = putInt(p, e.len);
+            *p++ = cigarOpChar(e.op);
+        }
+    }
+    *p++ = '\t';
+    p = put(p, rnext);
+    *p++ = '\t';
+    p = putInt(p, pnext);
+    *p++ = '\t';
+    p = putInt(p, tlen);
+    *p++ = '\t';
     // Sequence is stored in original orientation; SAM wants the
     // reference-forward orientation for reverse-mapped reads.
-    std::string seq = mapping.mapped && mapping.reverse
-                          ? read.seq.revComp().toString()
-                          : read.seq.toString();
-    u8 mapq = mapping.mapped ? 60 : 0;
-
-    os << read.name << '\t' << flags << '\t' << rname << '\t' << pos1
-       << '\t' << static_cast<u32>(mapq) << '\t' << cigar << '\t'
-       << rnext << '\t' << pnext << '\t' << tlen << '\t' << seq << '\t'
-       << '*' << "\tAS:i:" << mapping.score << '\n';
+    if (mapping.mapped && mapping.reverse)
+        read.seq.view().decodeRevCompAscii(p);
+    else
+        read.seq.view().decodeAscii(p);
+    p += read.seq.size();
+    p = put(p, "\t*\tAS:i:");
+    p = putInt(p, mapping.score);
+    *p++ = '\n';
+    used_ = static_cast<std::size_t>(p - buf_.data());
     ++records_;
 }
 
 void
-SamWriter::writePairTo(std::ostream &os, const ReadPair &pair,
-                       const PairMapping &mapping)
+SamWriter::appendPair(const ReadPair &pair, const PairMapping &mapping)
 {
-    u32 f1 = kSamPaired | kSamFirstInPair;
-    u32 f2 = kSamPaired | kSamSecondInPair;
+    const Mapping &m1 = mapping.first;
+    const Mapping &m2 = mapping.second;
+    const ChromPos cp1 = m1.mapped ? ref_.toChromPos(m1.pos) : ChromPos{};
+    const ChromPos cp2 = m2.mapped ? ref_.toChromPos(m2.pos) : ChromPos{};
 
+    // A proper pair is FR on one chromosome within the insert bound.
+    // TLEN is set only then: mates on different references get 0
+    // (SAM v1 §1.4) however close their concatenated coordinates are.
     i64 tlen = 0;
     bool proper = false;
-    if (mapping.bothMapped() &&
-        mapping.first.reverse != mapping.second.reverse) {
-        const Mapping &left = mapping.first.reverse ? mapping.second
-                                                    : mapping.first;
-        const Mapping &right = mapping.first.reverse ? mapping.first
-                                                     : mapping.second;
+    if (mapping.bothMapped() && m1.reverse != m2.reverse &&
+        cp1.chrom == cp2.chrom) {
+        const Mapping &left = m1.reverse ? m2 : m1;
+        const Mapping &right = m1.reverse ? m1 : m2;
         if (right.pos >= left.pos) {
             u64 span = right.pos + right.cigar.refSpan() - left.pos;
             if (span <= maxProperInsert_) {
@@ -136,43 +216,44 @@ SamWriter::writePairTo(std::ostream &os, const ReadPair &pair,
             }
         }
     }
+    u32 f1 = kSamPaired | kSamFirstInPair;
+    u32 f2 = kSamPaired | kSamSecondInPair;
     if (proper) {
         f1 |= kSamProperPair;
         f2 |= kSamProperPair;
     }
-    i64 tlen1 = mapping.first.reverse ? -tlen : tlen;
-    i64 tlen2 = mapping.second.reverse ? -tlen : tlen;
-
-    writeRecord(os, pair.first, mapping.first, f1, &mapping.second,
-                tlen1);
-    writeRecord(os, pair.second, mapping.second, f2, &mapping.first,
-                tlen2);
+    appendRecord(pair.first, m1, cp1, f1, &m2, cp2,
+                 m1.reverse ? -tlen : tlen);
+    appendRecord(pair.second, m2, cp2, f2, &m1, cp1,
+                 m2.reverse ? -tlen : tlen);
 }
 
 void
 SamWriter::writePair(const ReadPair &pair, const PairMapping &mapping)
 {
-    std::ostringstream buf;
-    writePairTo(buf, pair, mapping);
-    commit(buf.str());
+    appendPair(pair, mapping);
+    flush();
 }
 
 void
 SamWriter::writePairBatch(const ReadPair *pairs,
                           const PairMapping *mappings, std::size_t n)
 {
-    std::ostringstream buf;
-    for (std::size_t i = 0; i < n; ++i)
-        writePairTo(buf, pairs[i], mappings[i]);
-    commit(buf.str());
+    for (std::size_t i = 0; i < n; ++i) {
+        appendPair(pairs[i], mappings[i]);
+        if (used_ >= kSliceBytes)
+            flush();
+    }
+    flush();
 }
 
 void
 SamWriter::writeRead(const Read &read, const Mapping &mapping)
 {
-    std::ostringstream buf;
-    writeRecord(buf, read, mapping, 0, nullptr, 0);
-    commit(buf.str());
+    const ChromPos cp =
+        mapping.mapped ? ref_.toChromPos(mapping.pos) : ChromPos{};
+    appendRecord(read, mapping, cp, 0, nullptr, ChromPos{}, 0);
+    flush();
 }
 
 u8

@@ -13,6 +13,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "genomics/readpair.hh"
 #include "genomics/reference.hh"
@@ -33,10 +34,22 @@ enum SamFlag : u32
     kSamSecondInPair = 0x80,
 };
 
-/** Writes SAM records for mapped read pairs. */
+/**
+ * Writes SAM records for mapped read pairs.
+ *
+ * Every record goes through one appender that writes straight into a
+ * reused byte buffer: integers through std::to_chars, the CIGAR and
+ * the sequence (reverse-complemented for reverse mappings) decoded in
+ * place from their packed forms. The buffer reaches the stream in
+ * slices of about kSliceBytes, so a batch of any size holds at most
+ * one slice plus one record in memory.
+ */
 class SamWriter
 {
   public:
+    /** A batch is committed to the stream whenever this much is rendered. */
+    static constexpr std::size_t kSliceBytes = std::size_t{1} << 20;
+
     /**
      * @param os Output stream.
      * @param ref Reference (for @SQ headers and coordinate conversion).
@@ -52,10 +65,10 @@ class SamWriter
     void writePair(const ReadPair &pair, const PairMapping &mapping);
 
     /**
-     * Emit @p n pairs as one stream write: records render into an
-     * in-memory buffer first, so the output stream sees one large
-     * write per batch instead of ~a dozen small ones per record.
-     * Byte-identical to n writePair() calls (same rendering code).
+     * Emit @p n pairs in slices of about kSliceBytes: the output stream
+     * sees a few large writes per batch instead of a dozen small ones
+     * per record. Byte-identical to n writePair() calls (same
+     * appender).
      */
     void writePairBatch(const ReadPair *pairs, const PairMapping *mappings,
                         std::size_t n);
@@ -87,17 +100,24 @@ class SamWriter
     u64 recordsWritten() const { return records_; }
 
   private:
-    void writeRecord(std::ostream &os, const Read &read,
-                     const Mapping &mapping, u32 flags,
-                     const Mapping *mate, i64 tlen);
-    void writePairTo(std::ostream &os, const ReadPair &pair,
-                     const PairMapping &mapping);
+    /** Append one record; @p cp / @p mate_cp are the positions of a
+     *  mapped @p mapping / @p mate on their chromosomes. */
+    void appendRecord(const Read &read, const Mapping &mapping,
+                      const ChromPos &cp, u32 flags, const Mapping *mate,
+                      const ChromPos &mate_cp, i64 tlen);
+    void appendPair(const ReadPair &pair, const PairMapping &mapping);
+    /** Room for @p bytes more at the render cursor. */
+    char *reserve(std::size_t bytes);
+    /** Commit everything rendered so far and rewind the buffer. */
+    void flush();
     /** Sole stream toucher: every emission funnels through here. */
-    void commit(const std::string &rendered);
+    void commit(std::string_view rendered);
 
     std::ostream &os_;
     const Reference &ref_;
     u32 maxProperInsert_;
+    std::string buf_;      ///< render buffer, reused across writes
+    std::size_t used_ = 0; ///< rendered bytes not yet committed
     u64 records_ = 0;
     std::string outputLabel_;
     bool checkWrites_ = false;

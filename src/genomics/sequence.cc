@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -34,6 +35,65 @@ makeAmbigTable()
 
 constexpr auto kCodeTable = makeCodeTable();
 constexpr auto kAmbigTable = makeAmbigTable();
+
+/**
+ * Encode the eight ASCII bases of little-endian word @p x into sixteen
+ * packed bits, base k at bits [2k, 2k+2). Non-ACGT/acgt bytes encode
+ * as A and are added to @p ambig: the word-parallel form of kCodeTable
+ * and kAmbigTable.
+ */
+u32
+encode8(u64 x, u64 &ambig)
+{
+    constexpr u64 kOnes = 0x0101010101010101ull;
+    constexpr u64 kLow7 = 0x7f7f7f7f7f7f7f7full;
+    constexpr u64 kHigh = 0x8080808080808080ull;
+    // High bit of each byte of v that is nonzero.
+    auto nonzero = [](u64 v) { return (((v & kLow7) + kLow7) | v) & kHigh; };
+    // ACGT and acgt differ only in bit 5; a byte is ambiguous when its
+    // upper-cased form is none of the four.
+    const u64 up = x & ~(0x20 * kOnes);
+    const u64 bad =
+        nonzero(up ^ ('A' * kOnes)) & nonzero(up ^ ('C' * kOnes)) &
+        nonzero(up ^ ('G' * kOnes)) & nonzero(up ^ ('T' * kOnes));
+    ambig += ((bad >> 7) * kOnes) >> 56; // one per ambiguous byte
+    // Bits 1-3 of the ASCII code give A=0 C=1 G=2 T=3 (either case);
+    // ambiguous bytes become A.
+    u64 codes = ((x >> 1) ^ (x >> 2)) & (3 * kOnes);
+    codes &= ~((bad >> 7) * 3);
+    codes |= codes >> 6;  // byte k: bases k, k+1
+    codes |= codes >> 12; // byte k: bases k .. k+3
+    return static_cast<u32>((codes & 0xffu) | ((codes >> 24) & 0xff00u));
+}
+
+/** Packed byte -> its four bases as ASCII, first base first. */
+constexpr std::array<std::array<char, 4>, 256>
+makeByteAsciiTable()
+{
+    constexpr char kChars[4] = { 'A', 'C', 'G', 'T' };
+    std::array<std::array<char, 4>, 256> t{};
+    for (unsigned b = 0; b < 256; ++b) {
+        for (unsigned i = 0; i < 4; ++i)
+            t[b][i] = kChars[(b >> (2 * i)) & 3u];
+    }
+    return t;
+}
+
+constexpr auto kByteAscii = makeByteAsciiTable();
+
+/** Decode the low @p n (<= 32) bases of packed word @p v to @p out. */
+void
+decodeWordAscii(u64 v, std::size_t n, char *out)
+{
+    char full[32];
+    char *dst = n == 32 ? out : full;
+    for (std::size_t k = 0; k < 8; ++k) {
+        const auto &chars = kByteAscii[(v >> (8 * k)) & 0xffu];
+        std::memcpy(dst + 4 * k, chars.data(), 4);
+    }
+    if (n != 32)
+        std::memcpy(out, full, n);
+}
 
 /**
  * Streams 2-bit payloads of arbitrary bit width into a packed byte
@@ -219,18 +279,33 @@ DnaSequence::assignRevComp(const DnaView &src)
 std::string
 DnaView::toString() const
 {
-    std::string s;
-    s.reserve(size_);
-    std::size_t nw = numWords();
-    for (std::size_t w = 0; w < nw; ++w) {
-        u64 v = word(w);
-        std::size_t rem = std::min<std::size_t>(32, size_ - 32 * w);
-        for (std::size_t i = 0; i < rem; ++i) {
-            s.push_back(baseToChar(v & 0x3u));
-            v >>= 2;
-        }
-    }
+    std::string s(size_, '\0');
+    decodeAscii(s.data());
     return s;
+}
+
+void
+DnaView::decodeAscii(char *out) const
+{
+    const std::size_t nw = numWords();
+    for (std::size_t w = 0; w < nw; ++w) {
+        decodeWordAscii(word(w), std::min<std::size_t>(32, size_ - 32 * w),
+                        out + 32 * w);
+    }
+}
+
+void
+DnaView::decodeRevCompAscii(char *out) const
+{
+    for (std::size_t w = numWords(); w > 0; --w) {
+        const std::size_t rem =
+            std::min<std::size_t>(32, size_ - 32 * (w - 1));
+        // Same word walk as revComp(): the zero pad past the end lands
+        // in the low fields of the reversed word and is shifted out.
+        const u64 rc = detail::revCompWord(word(w - 1)) >> (64 - 2 * rem);
+        decodeWordAscii(rc, rem, out);
+        out += rem;
+    }
 }
 
 void
@@ -282,16 +357,22 @@ hammingDistance(const DnaView &a, const DnaView &b)
 
 DnaSequence::DnaSequence(std::string_view ascii, u64 *ambiguous)
 {
-    packed_.assign((ascii.size() + 3) / 4, 0);
+    const std::size_t n = ascii.size();
+    const auto *in = reinterpret_cast<const u8 *>(ascii.data());
+    packed_.resize((n + 3) / 4);
     u64 ambig = 0;
     std::size_t i = 0;
-    for (char c : ascii) {
-        u8 uc = static_cast<u8>(c);
-        packed_[i >> 2] |= static_cast<u8>(kCodeTable[uc] << ((i & 3u) << 1));
-        ambig += kAmbigTable[uc];
-        ++i;
+    for (; i + 8 <= n; i += 8) {
+        const u32 v = encode8(detail::load64le(in + i, 8), ambig);
+        packed_[i >> 2] = static_cast<u8>(v);
+        packed_[(i >> 2) + 1] = static_cast<u8>(v >> 8);
     }
-    size_ = ascii.size();
+    for (; i < n; ++i) {
+        packed_[i >> 2] |=
+            static_cast<u8>(kCodeTable[in[i]] << ((i & 3u) << 1));
+        ambig += kAmbigTable[in[i]];
+    }
+    size_ = n;
     if (ambiguous != nullptr)
         *ambiguous += ambig;
 }

@@ -204,6 +204,16 @@ class DnaView
     /** Decode to ASCII. */
     std::string toString() const;
 
+    /** Decode to ASCII at @p out, which must hold size() chars. */
+    void decodeAscii(char *out) const;
+
+    /**
+     * Decode the reverse complement to ASCII at @p out (size() chars),
+     * without materializing it: the SAM renderer's path for
+     * reverse-mapped reads.
+     */
+    void decodeRevCompAscii(char *out) const;
+
     /**
      * Write the view as packed bytes (4 bases per byte, LSB-first, tail
      * bits zero) to @p out, which must hold at least packedBytes() bytes.

@@ -70,7 +70,10 @@ PipelineStats::writeJson(std::ostream &os) const
        << "  \"ingest\": {\"ambiguous_bases\": " << ambiguousBases
        << "},\n"
        << "  \"io\": {\"reader_stall_seconds\": " << readerStallSeconds
-       << ", \"writer_stall_seconds\": " << writerStallSeconds << "},\n"
+       << ", \"writer_stall_seconds\": " << writerStallSeconds
+       << ", \"scan_seconds\": " << scanSeconds
+       << ", \"parse_seconds\": " << parseSeconds
+       << ", \"render_seconds\": " << renderSeconds << "},\n"
        << "  \"stages\": {\n";
     for (std::size_t s = 0; s < kNumStages; ++s) {
         const StageCounters &c = stage[s];

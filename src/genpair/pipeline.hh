@@ -84,6 +84,17 @@ struct PipelineStats
     double readerStallSeconds = 0;
     double writerStallSeconds = 0;
 
+    /**
+     * The spine's serial ends (streaming drivers only; zero for batch
+     * runs): seconds spent scanning FASTQ into chunks, parsing chunks
+     * (summed over the parser threads) and rendering and writing SAM,
+     * one clock pair per chunk per phase. Next to the stalls they show
+     * which end starves or backs up the pool.
+     */
+    double scanSeconds = 0;
+    double parseSeconds = 0;
+    double renderSeconds = 0;
+
     /** Per-stage visit counters of the stage graph (stages.hh). */
     std::array<StageCounters, kNumStages> stage{};
 
@@ -118,6 +129,9 @@ struct PipelineStats
         ambiguousBases += other.ambiguousBases;
         readerStallSeconds += other.readerStallSeconds;
         writerStallSeconds += other.writerStallSeconds;
+        scanSeconds += other.scanSeconds;
+        parseSeconds += other.parseSeconds;
+        renderSeconds += other.renderSeconds;
         for (std::size_t s = 0; s < kNumStages; ++s)
             stage[s] += other.stage[s];
         return *this;

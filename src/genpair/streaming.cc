@@ -74,6 +74,13 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
 
     std::atomic<bool> warnedAmbiguous{false};
 
+    // Serial-end timers: one clock pair per chunk per phase. Each is
+    // written by one thread (a slot per parser) and read after the
+    // joins below.
+    double scanSeconds = 0;
+    std::vector<double> parseSeconds(ioThreads_, 0.0);
+    double renderSeconds = 0;
+
     // Chunker: owns the byte stacks. Prefetch sits above inflate so
     // file reads AND gzip decompression run ahead of the scan.
     std::thread chunkerThread([&]() {
@@ -86,9 +93,12 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
         genomics::PairedFastqChunker chunker(prefetch1, prefetch2,
                                              chunkPairs_);
         genomics::FastqChunk chunk;
-        while (chunker.next(chunk)) {
+        for (;;) {
+            util::Stopwatch scan;
+            const bool more = chunker.next(chunk);
+            scanSeconds += scan.seconds();
             // push fails only after an early close (downstream error).
-            if (!rawQ.push(std::move(chunk)))
+            if (!more || !rawQ.push(std::move(chunk)))
                 break;
             chunk = genomics::FastqChunk{};
         }
@@ -101,10 +111,12 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
     std::vector<std::thread> parserThreads;
     parserThreads.reserve(ioThreads_);
     for (u32 t = 0; t < ioThreads_; ++t) {
-        parserThreads.emplace_back([&]() {
+        parserThreads.emplace_back([&, t]() {
             while (auto chunk = rawQ.pop()) {
+                util::Stopwatch parse;
                 genomics::ParsedChunk parsed = genomics::parseFastqChunk(
                     std::move(*chunk), &warnedAmbiguous);
+                parseSeconds[t] += parse.seconds();
                 if (!parsedQ.push(std::move(parsed)))
                     break;
             }
@@ -138,9 +150,11 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
                 }
                 if (trace_sink)
                     trace_sink(chunk.trace.data(), chunk.trace.size());
+                util::Stopwatch render;
                 sam.writePairBatch(chunk.pairs.data(),
                                    chunk.mappings.data(),
                                    chunk.pairs.size());
+                renderSeconds += render.seconds();
                 if (sam.writeFailed()) {
                     // Checked writer latched a short write/ENOSPC:
                     // nothing downstream of this byte offset can be
@@ -210,6 +224,10 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
     // mapping stage's ingest-wait vs emission-wait split.
     result.stats.readerStallSeconds = parsedQ.popStall().seconds;
     result.stats.writerStallSeconds = mappedQ.pushStall().seconds;
+    result.stats.scanSeconds = scanSeconds;
+    for (double s : parseSeconds)
+        result.stats.parseSeconds += s;
+    result.stats.renderSeconds = renderSeconds;
 
     if (writeFailed.load(std::memory_order_relaxed)) {
         if (error != nullptr) {

@@ -58,10 +58,11 @@ PrefetchSource::read(std::string &block)
     return false;
 }
 
+template <typename Sink>
 bool
-LineReader::getline(std::string &line)
+LineReader::pull(Sink &&sink)
 {
-    line.clear();
+    bool any = false;
     for (;;) {
         if (pos_ < buffer_.size()) {
             const char *base = buffer_.data() + pos_;
@@ -71,18 +72,19 @@ LineReader::getline(std::string &line)
                 const std::size_t len =
                     static_cast<std::size_t>(static_cast<const char *>(nl) -
                                              base);
-                line.append(base, len);
+                sink(base, len);
                 pos_ += len + 1; // consume the newline
                 return true;
             }
             // Partial line: take what is buffered, keep reading.
-            line.append(base, avail);
+            sink(base, avail);
+            any = true;
             pos_ = buffer_.size();
         }
         if (eof_)
             // getline semantics: a final newline-less run is a line;
             // nothing buffered and nothing read means end of stream.
-            return !line.empty();
+            return any;
         buffer_.clear();
         pos_ = 0;
         if (!source_.read(buffer_)) {
@@ -92,6 +94,28 @@ LineReader::getline(std::string &line)
             eof_ = true;
         }
     }
+}
+
+bool
+LineReader::getline(std::string &line)
+{
+    line.clear();
+    return pull([&](const char *p, std::size_t n) { line.append(p, n); });
+}
+
+bool
+LineReader::appendLine(std::string &out)
+{
+    if (!pull([&](const char *p, std::size_t n) { out.append(p, n); }))
+        return false;
+    out.push_back('\n');
+    return true;
+}
+
+bool
+LineReader::skipLine()
+{
+    return pull([](const char *, std::size_t) {});
 }
 
 } // namespace util

@@ -130,7 +130,11 @@ class PrefetchSource : public ByteSource
 /**
  * std::getline over a ByteSource, byte-exact with getline(istream&):
  * lines are split on '\n' (consumed, never returned), and a trailing
- * run of bytes without a final newline is still one last line.
+ * run of bytes without a final newline is still one last line. The
+ * three readers share one scan; they differ only in where the line's
+ * bytes go, so a caller that does not need its own copy of a line
+ * (the chunk scanner, the parser's '+' and quality lines) never makes
+ * one.
  */
 class LineReader
 {
@@ -140,10 +144,22 @@ class LineReader
     /** False at end of stream (or source error; check error()). */
     bool getline(std::string &line);
 
+    /**
+     * Append the next line and a '\n' to @p out, straight from the
+     * source block. False at end of stream, with nothing appended.
+     */
+    bool appendLine(std::string &out);
+
+    /** Consume the next line without copying it; false at its end. */
+    bool skipLine();
+
     /** Source failure diagnostic (empty on clean EOF). */
     const std::string &error() const { return source_.error(); }
 
   private:
+    /** The scan: hands each run of the line's bytes to @p sink. */
+    template <typename Sink> bool pull(Sink &&sink);
+
     ByteSource &source_;
     std::string buffer_;
     std::size_t pos_ = 0;

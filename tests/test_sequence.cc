@@ -26,6 +26,35 @@ TEST(Sequence, LowerCaseAndAmbiguityHandled)
     EXPECT_EQ(s.toString(), "ACGTA"); // N maps to A
 }
 
+TEST(Sequence, AsciiEncodingMatchesThePerCharTables)
+{
+    // Every byte value at every position of the 8-byte word encoder and
+    // in the per-char tail: codes from charToBase, the ambiguous count
+    // from isAmbiguousBase.
+    util::Pcg32 rng(91);
+    for (int iter = 0; iter < 400; ++iter) {
+        std::string ascii(rng.below(70), 'A');
+        for (char &c : ascii) {
+            c = rng.chance(0.5) ? "ACGTacgt"[rng.below(8)]
+                                : static_cast<char>(rng.below(256));
+        }
+        u64 ambiguous = 0;
+        const DnaSequence s(ascii, &ambiguous);
+        ASSERT_EQ(s.size(), ascii.size());
+        u64 expected = 0;
+        for (std::size_t i = 0; i < ascii.size(); ++i) {
+            ASSERT_EQ(s.at(i), genomics::charToBase(ascii[i]))
+                << "iter " << iter << " pos " << i;
+            expected += genomics::isAmbiguousBase(ascii[i]);
+        }
+        EXPECT_EQ(ambiguous, expected) << "iter " << iter;
+        if (!ascii.empty() && (ascii.size() & 3u) != 0) {
+            // Tail bits past the last base stay zero.
+            EXPECT_EQ(s.packed().back() >> (2 * (ascii.size() & 3u)), 0);
+        }
+    }
+}
+
 TEST(Sequence, AtMatchesEncoding)
 {
     DnaSequence s("ACGT");
@@ -159,6 +188,28 @@ TEST(DnaView, MaterializeRoundTrip)
     DnaSequence s{ std::string_view(ascii) };
     DnaSequence copy = s.view(3, 140).materialize();
     EXPECT_EQ(copy.toString(), ascii.substr(3, 140));
+}
+
+TEST(DnaView, AsciiDecodesMatchToStringAndRevComp)
+{
+    util::Pcg32 rng(93);
+    for (int iter = 0; iter < 200; ++iter) {
+        std::string ascii(rng.below(200), 'A');
+        for (char &c : ascii)
+            c = genomics::baseToChar(static_cast<u8>(rng.below(4)));
+        const DnaSequence s{ std::string_view(ascii) };
+        const std::size_t start = ascii.empty() ? 0 : rng.below(
+                                                          ascii.size());
+        const std::size_t len = rng.below(ascii.size() - start + 1);
+        for (const genomics::DnaView &v : { s.view(), s.view(start, len) }) {
+            std::string fwd(v.size(), '?');
+            v.decodeAscii(fwd.data());
+            EXPECT_EQ(fwd, v.toString()) << "iter " << iter;
+            std::string rc(v.size(), '?');
+            v.decodeRevCompAscii(rc.data());
+            EXPECT_EQ(rc, v.revComp().toString()) << "iter " << iter;
+        }
+    }
 }
 
 } // namespace

@@ -231,6 +231,29 @@ TEST_F(StreamingTest, StallCountersAreReportedAndSane)
               std::string::npos);
 }
 
+TEST_F(StreamingTest, SerialEndsReportTheirTime)
+{
+    // Scan, parse and render each take one clock pair per chunk, so a
+    // non-empty run reports all three; they sum over chunks and parser
+    // threads and must not exceed the run's wall time by more than the
+    // parser fan-out.
+    genpair::StreamingResult r;
+    streamedSam(64, &r, 2, 2);
+    ASSERT_GT(r.pairs, 0u);
+    EXPECT_GT(r.stats.scanSeconds, 0.0);
+    EXPECT_GT(r.stats.parseSeconds, 0.0);
+    EXPECT_GT(r.stats.renderSeconds, 0.0);
+    EXPECT_LE(r.stats.scanSeconds, r.total.seconds);
+    EXPECT_LE(r.stats.parseSeconds, 2 * r.total.seconds);
+    EXPECT_LE(r.stats.renderSeconds, r.total.seconds);
+
+    std::ostringstream js;
+    r.stats.writeJson(js);
+    for (const char *key :
+         { "\"scan_seconds\"", "\"parse_seconds\"", "\"render_seconds\"" })
+        EXPECT_NE(js.str().find(key), std::string::npos) << key;
+}
+
 TEST_F(StreamingTest, GzipInputMatchesPlainBitForBit)
 {
     if (!util::gzipSupported())

@@ -254,9 +254,11 @@ main(int argc, char **argv)
                 result.total.seconds, result.total.itemsPerSec,
                 static_cast<unsigned long long>(result.chunks),
                 result.mapping.seconds, result.mapping.itemsPerSec);
-    std::printf("I/O spine stalls: reader %.3f s, writer %.3f s\n",
+    std::printf("I/O spine stalls: reader %.3f s, writer %.3f s; serial "
+                "ends: scan %.3f s, parse %.3f s, render %.3f s\n",
                 result.stats.readerStallSeconds,
-                result.stats.writerStallSeconds);
+                result.stats.writerStallSeconds, result.stats.scanSeconds,
+                result.stats.parseSeconds, result.stats.renderSeconds);
 
     // Fig. 10 routing summary.
     const auto &st = result.stats;
