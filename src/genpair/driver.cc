@@ -12,14 +12,16 @@ namespace {
 /** Per-worker engines: DP fallback + stage-graph pipeline. */
 struct PairWorkerContext : WorkerContext
 {
+    u32 slot;
     baseline::Mm2Lite fallback;
     GenPairPipeline pipeline;
 
     PairWorkerContext(
-        const genomics::Reference &ref, const SeedMapView &map,
-        const DriverConfig &config,
+        u32 worker_slot, const genomics::Reference &ref,
+        const SeedMapView &map, const DriverConfig &config,
         std::shared_ptr<const baseline::MinimizerIndex> index)
-        : fallback(ref, config.fallback, std::move(index)),
+        : slot(worker_slot),
+          fallback(ref, config.fallback, std::move(index)),
           pipeline(ref, map, config.pipeline, &fallback)
     {
     }
@@ -40,9 +42,9 @@ ParallelMapper::ParallelMapper(const genomics::Reference &ref,
     sharedIndex_ = std::make_shared<const baseline::MinimizerIndex>(
         ref, config_.fallback.minimizers);
     engine_ = std::make_unique<MapperEngine>(
-        config_.threads, [this](u32 /*slot*/) {
+        config_.threads, [this](u32 slot) {
             return std::make_unique<PairWorkerContext>(
-                ref_, map_, config_, sharedIndex_);
+                slot, ref_, map_, config_, sharedIndex_);
         });
 }
 
@@ -60,30 +62,25 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
         config_.recordTrace ? result.trace.data() : nullptr;
     const bool useGenPair = config_.useGenPair;
 
-    // The stats reset, the run and the stats merge all touch every
-    // worker context: one caller at a time owns the pool.
-    std::lock_guard<std::mutex> lock(mapMu_);
-    engine_->forEachContext([](WorkerContext &ctx) {
-        static_cast<PairWorkerContext &>(ctx).pipeline.resetStats();
-    });
-
+    // This job's stats sink: each block adds its counters to its
+    // worker slot's entry, so concurrent jobs never share a counter.
+    std::vector<PipelineStats> slotStats(engine_->threads());
     result.timing = engine_->run(
         pairs.size(), [&](WorkerContext &wc, u64 begin, u64 end) {
             auto &ctx = static_cast<PairWorkerContext &>(wc);
             if (useGenPair) {
+                ctx.pipeline.resetStats();
                 ctx.pipeline.mapBatch(in + begin, end - begin,
                                       out + begin,
                                       trace ? trace + begin : nullptr);
+                slotStats[ctx.slot] += ctx.pipeline.stats();
             } else {
                 for (u64 i = begin; i < end; ++i)
                     out[i] = ctx.fallback.mapPair(in[i]);
             }
         });
-
-    engine_->forEachContext([&](WorkerContext &ctx) {
-        result.stats +=
-            static_cast<PairWorkerContext &>(ctx).pipeline.stats();
-    });
+    for (const auto &stats : slotStats)
+        result.stats += stats;
     return result;
 }
 

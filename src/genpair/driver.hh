@@ -18,7 +18,6 @@
 #define GPX_GENPAIR_DRIVER_HH
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "baseline/mm2lite.hh"
@@ -52,7 +51,8 @@ struct DriverResult
 {
     std::vector<genomics::PairMapping> mappings; ///< 1:1 with input
     PipelineStats stats; ///< aggregated across workers
-    /** Pure mapping wall time of this mapAll() call (see RunTiming). */
+    /** Wall time of this mapAll() call on the pool, including any
+     *  wait behind other callers' blocks (see RunTiming). */
     RunTiming timing;
     /** Per-pair stage events; 1:1 with input iff recordTrace was set. */
     std::vector<PairTraceRecord> trace;
@@ -75,9 +75,9 @@ class ParallelMapper
 
     /**
      * Map all pairs; mappings[i] corresponds to pairs[i]. Safe from
-     * any thread: callers wait for the pool one at a time, in no
-     * promised order, and each gets the mappings, stats and timing
-     * (pool occupancy, not the wait) it would get alone.
+     * any thread: concurrent callers share the pool block by block,
+     * oldest call first, and each gets the mappings and stats it would
+     * get alone.
      */
     DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
 
@@ -90,8 +90,6 @@ class ParallelMapper
     std::shared_ptr<const baseline::MinimizerIndex> sharedIndex_;
     /** Built after sharedIndex_ (workers capture it); one pool. */
     std::unique_ptr<MapperEngine> engine_;
-    /** Serializes mapAll() callers around the pool + stats. */
-    std::mutex mapMu_;
 };
 
 } // namespace genpair

@@ -1,12 +1,26 @@
 #include "genpair/engine.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/logging.hh"
 #include "util/timer.hh"
 
 namespace gpx {
 namespace genpair {
+
+/** One run() call: lives on the caller's stack until it completes. */
+struct MapperEngine::Job
+{
+    const u64 items;
+    const BlockFn &fn;
+    std::atomic<u64> cursor{ 0 };
+    u32 workers = 0; ///< workers on the job; guarded by mu_
+    bool finished = false;
+    std::condition_variable done;
+
+    Job(u64 n, const BlockFn &f) : items(n), fn(f) {}
+};
 
 MapperEngine::MapperEngine(u32 threads, ContextFactory factory,
                            u64 block_items)
@@ -25,7 +39,7 @@ MapperEngine::MapperEngine(u32 threads, ContextFactory factory,
     // cost: don't return until every worker has built its context, so
     // the first run()'s stopwatch measures mapping only.
     std::unique_lock<std::mutex> lock(mu_);
-    jobDone_.wait(lock, [&] { return workersReady_ == threads_; });
+    poolReady_.wait(lock, [&] { return workersReady_ == threads_; });
 }
 
 MapperEngine::~MapperEngine()
@@ -45,40 +59,41 @@ MapperEngine::workerLoop(u32 slot, const ContextFactory &factory)
     // Contexts are built once per worker, on the worker's own thread
     // (first-touch locality), and live for the pool's lifetime.
     contexts_[slot] = factory(slot);
+    WorkerContext &context = *contexts_[slot];
 
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++workersReady_;
-    }
-    jobDone_.notify_all();
-
-    u64 seenJob = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    ++workersReady_;
+    poolReady_.notify_all();
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            jobReady_.wait(lock, [&] {
-                return shutdown_ || jobSeq_ != seenJob;
-            });
-            if (shutdown_)
-                return;
-            seenJob = jobSeq_;
-        }
+        jobReady_.wait(lock,
+                       [&] { return shutdown_ || !open_.empty(); });
+        if (shutdown_)
+            return;
+        Job &job = *open_.front();
+        ++job.workers;
+        lock.unlock();
 
-        const u64 items = jobItems_;
-        const BlockFn &fn = *jobFn_;
         for (;;) {
-            const u64 begin = cursor_.fetch_add(
+            const u64 begin = job.cursor.fetch_add(
                 blockItems_, std::memory_order_relaxed);
-            if (begin >= items)
+            if (begin >= job.items)
                 break;
-            const u64 end = std::min(items, begin + blockItems_);
-            fn(*contexts_[slot], begin, end);
+            job.fn(context, begin,
+                   std::min(job.items, begin + blockItems_));
         }
 
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (--workersLeft_ == 0)
-                jobDone_.notify_one();
+        // One critical section per hand-off: leave the drained job,
+        // then (at the top of the loop) join the oldest open one. A
+        // listed job is always the front, because workers only join
+        // the front and run() appends at the back.
+        lock.lock();
+        if (!open_.empty() && open_.front() == &job)
+            open_.pop_front();
+        if (--job.workers == 0) {
+            // Notify under the lock: the job lives on the caller's
+            // stack and is gone as soon as run() sees it finished.
+            job.finished = true;
+            job.done.notify_one();
         }
     }
 }
@@ -87,19 +102,13 @@ RunTiming
 MapperEngine::run(u64 items, const BlockFn &fn)
 {
     util::Stopwatch watch;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        jobItems_ = items;
-        jobFn_ = &fn;
-        cursor_.store(0, std::memory_order_relaxed);
-        workersLeft_ = threads_;
-        ++jobSeq_;
-    }
+    if (items == 0)
+        return RunTiming::of(0, watch.seconds());
+    Job job(items, fn);
+    std::unique_lock<std::mutex> lock(mu_);
+    open_.push_back(&job);
     jobReady_.notify_all();
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        jobDone_.wait(lock, [&] { return workersLeft_ == 0; });
-    }
+    job.done.wait(lock, [&] { return job.finished; });
     return RunTiming::of(items, watch.seconds());
 }
 

@@ -8,19 +8,21 @@
  * merge per-worker statistics, time the run. The engine owns all of it
  * exactly once: a persistent worker pool (per-worker contexts built
  * once at start-up, on the worker's own thread), an atomic block
- * cursor for load balance, and the RunTiming measurement. Drivers are
- * thin configuration layers: they provide a context factory (their
- * per-worker engines) and a block-mapping function, and the engine
- * guarantees that item i of a job is mapped exactly once, by exactly
- * one context — results landing at input index keep output
- * bit-identical to a serial run regardless of scheduling.
+ * cursor per job for load balance, and the RunTiming measurement.
+ * Drivers are thin configuration layers: they provide a context factory
+ * (their per-worker engines) and a block-mapping function, and the
+ * engine guarantees that item i of a job is mapped exactly once, by
+ * exactly one context — results landing at input index keep output
+ * bit-identical to a serial run regardless of scheduling. Any number
+ * of jobs may be in flight at once; they share the pool block by
+ * block, oldest job first.
  */
 
 #ifndef GPX_GENPAIR_ENGINE_HH
 #define GPX_GENPAIR_ENGINE_HH
 
-#include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -36,7 +38,9 @@ namespace genpair {
  * Wall-time accounting of one driver run, filled by MapperEngine (the
  * one place that times mapping). Replaces the hand-rolled
  * seconds/pairsPerSec/mapSeconds fields every driver result used to
- * duplicate. One-time pool costs (thread spawn, per-worker engine
+ * duplicate. It runs from the job's submission to the end of its last
+ * block, so it includes any wait behind the blocks of jobs submitted
+ * earlier. One-time pool costs (thread spawn, per-worker engine
  * construction) are paid at engine start-up and never charged here, so
  * itemsPerSec is comparable across chunk sizes.
  */
@@ -76,11 +80,11 @@ class WorkerContext
 };
 
 /**
- * The persistent worker pool + block cursor. Not itself thread-safe:
- * one run() at a time (the workers inside it are the parallelism).
+ * The persistent worker pool and its queue of open jobs. run() is safe
+ * from any thread: each call is a job with its own block cursor and
+ * completion signal, and an idle worker takes the next block of the
+ * oldest open job, so a lone caller has the whole pool.
  * forEachContext() must only be called while no run() is in flight.
- * Drivers that accept calls from many threads serialize them before
- * they reach the engine (ParallelMapper::mapAll).
  */
 class MapperEngine
 {
@@ -109,8 +113,9 @@ class MapperEngine
 
     /**
      * Run @p fn over all blocks of [0, items) and return the measured
-     * timing. Blocks are pulled off a shared atomic cursor; every item
-     * is processed exactly once. One caller at a time.
+     * timing. Blocks are pulled off the job's atomic cursor; every item
+     * is processed exactly once. Returns when the job's last block has
+     * ended. Safe from any number of threads at once.
      */
     RunTiming run(u64 items, const BlockFn &fn);
 
@@ -127,24 +132,23 @@ class MapperEngine
     static constexpr u64 kDefaultBlockItems = 64;
 
   private:
+    struct Job;
+
     void workerLoop(u32 slot, const ContextFactory &factory);
 
     u32 threads_;
     u64 blockItems_;
 
-    // Job hand-off: run() publishes the job under mu_, bumps jobSeq_
-    // and wakes the pool; workers race the shared cursor and the last
-    // one out signals completion.
+    // Job hand-off: run() appends its job to open_ under mu_ and wakes
+    // the pool. A worker joins the oldest open job and races its
+    // cursor without the lock; the first worker to find the cursor
+    // drained closes the job, and the last one out signals completion.
     std::mutex mu_;
     std::condition_variable jobReady_;
-    std::condition_variable jobDone_;
-    u64 jobSeq_ = 0;
+    std::condition_variable poolReady_;
+    std::deque<Job *> open_;
     u32 workersReady_ = 0;
-    u32 workersLeft_ = 0;
     bool shutdown_ = false;
-    u64 jobItems_ = 0;
-    const BlockFn *jobFn_ = nullptr;
-    std::atomic<u64> cursor_{ 0 };
     std::vector<std::unique_ptr<WorkerContext>> contexts_;
     std::vector<std::thread> workers_;
 };

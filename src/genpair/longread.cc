@@ -150,15 +150,16 @@ namespace {
 /** Per-worker long-read engines (DP + voting mapper). */
 struct LongReadWorkerContext : WorkerContext
 {
+    u32 slot;
     baseline::Mm2Lite dp;
     LongReadMapper mapper;
 
     LongReadWorkerContext(
-        const genomics::Reference &ref, const SeedMapView &map,
-        const LongReadParams &params,
+        u32 worker_slot, const genomics::Reference &ref,
+        const SeedMapView &map, const LongReadParams &params,
         const baseline::Mm2LiteParams &dp_params,
         std::shared_ptr<const baseline::MinimizerIndex> index)
-        : dp(ref, dp_params, std::move(index)),
+        : slot(worker_slot), dp(ref, dp_params, std::move(index)),
           mapper(ref, map, params, &dp)
     {
     }
@@ -177,9 +178,9 @@ LongReadDriver::LongReadDriver(const genomics::Reference &ref,
         ref, dpParams_.minimizers);
     engine_ = std::make_unique<MapperEngine>(
         threads,
-        [this](u32 /*slot*/) {
+        [this](u32 slot) {
             return std::make_unique<LongReadWorkerContext>(
-                ref_, map_, params_, dpParams_, sharedIndex_);
+                slot, ref_, map_, params_, dpParams_, sharedIndex_);
         },
         // Long reads are ~60x the work of a short pair; a finer grain
         // keeps the cursor balanced.
@@ -192,23 +193,20 @@ LongReadDriver::mapAll(const std::vector<genomics::Read> &reads)
     LongReadResult result;
     result.mappings.resize(reads.size());
 
-    engine_->forEachContext([](WorkerContext &ctx) {
-        static_cast<LongReadWorkerContext &>(ctx).mapper.resetStats();
-    });
-
+    // Per-slot stats sink of this job, as in ParallelMapper::mapAll.
+    std::vector<LongReadStats> slotStats(engine_->threads());
     const genomics::Read *in = reads.data();
     genomics::Mapping *out = result.mappings.data();
     result.timing = engine_->run(
         reads.size(), [&](WorkerContext &wc, u64 begin, u64 end) {
             auto &ctx = static_cast<LongReadWorkerContext &>(wc);
+            ctx.mapper.resetStats();
             for (u64 i = begin; i < end; ++i)
                 out[i] = ctx.mapper.mapRead(in[i]);
+            slotStats[ctx.slot] += ctx.mapper.stats();
         });
-
-    engine_->forEachContext([&](WorkerContext &ctx) {
-        result.stats +=
-            static_cast<LongReadWorkerContext &>(ctx).mapper.stats();
-    });
+    for (const auto &stats : slotStats)
+        result.stats += stats;
     return result;
 }
 

@@ -133,7 +133,8 @@ class LongReadDriver
                    const baseline::Mm2LiteParams &dp_params = {},
                    u32 threads = 0);
 
-    /** Map all reads; mappings[i] corresponds to reads[i]. */
+    /** Map all reads; mappings[i] corresponds to reads[i]. Safe from
+     *  any thread, like ParallelMapper::mapAll(). */
     LongReadResult mapAll(const std::vector<genomics::Read> &reads);
 
     u32 threads() const { return engine_->threads(); }

@@ -49,7 +49,8 @@ struct StreamingResult
     PipelineStats stats; ///< aggregated over all chunks (incl. stalls)
     /** End-to-end timing including FASTQ parse and SAM drain. */
     RunTiming total;
-    /** Pure mapping time summed over chunks (see RunTiming). */
+    /** Pool time summed over chunks, including any wait behind other
+     *  runs' blocks (see RunTiming). */
     RunTiming mapping;
 };
 
@@ -106,7 +107,8 @@ class StreamingMapper
      * output and @p result are partial and must be discarded by the
      * caller. One mapper may run() / tryRun() several inputs at once
      * from different threads: all per-run state is local to the call,
-     * and pool access is serialized inside ParallelMapper::mapAll().
+     * and the runs' chunks share the pool block by block through
+     * ParallelMapper::mapAll().
      */
     StreamRunStatus tryRun(std::istream &r1, std::istream &r2,
                            genomics::SamWriter &sam,

@@ -133,8 +133,8 @@ ServeServer::waitUntilDrained()
     std::vector<std::thread> handlers;
     {
         std::unique_lock<std::mutex> lock(connMu_);
-        connDone_.wait(lock, [&] { return liveConnections_ == 0; });
-        handlers.swap(connThreads_);
+        connDone_.wait(lock, [&] { return connThreads_.empty(); });
+        handlers.swap(finishedThreads_);
     }
     for (auto &t : handlers)
         t.join();
@@ -224,19 +224,31 @@ ServeServer::acceptLoop()
             // the backlog); keep serving.
             continue;
         }
-        std::lock_guard<std::mutex> lock(connMu_);
-        if (draining_.load(std::memory_order_relaxed))
-            return; // drop the late arrival; its socket closes here
-        ++liveConnections_;
-        util::Socket sock = std::move(*conn);
-        connThreads_.emplace_back(
-            [this, s = std::move(sock)]() mutable {
-                handleConnection(std::move(s));
-            });
+        // Join the handlers that finished since the last accept, so a
+        // long-lived daemon keeps no stack mapping per past connection.
+        // They have left handleConnection(); join() only waits out
+        // their thread exit.
+        std::vector<std::thread> finished;
+        bool accepted = false;
         {
-            std::lock_guard<std::mutex> slock(statsMu_);
-            ++counters_.connectionsAccepted;
+            std::lock_guard<std::mutex> lock(connMu_);
+            finished.swap(finishedThreads_);
+            // A late arrival during shutdown is dropped; its socket
+            // closes with conn.
+            if (!draining_.load(std::memory_order_relaxed)) {
+                connThreads_.emplace_back(
+                    [this, s = std::move(*conn)]() mutable {
+                        handleConnection(std::move(s));
+                    });
+                std::lock_guard<std::mutex> slock(statsMu_);
+                ++counters_.connectionsAccepted;
+                accepted = true;
+            }
         }
+        for (auto &t : finished)
+            t.join();
+        if (!accepted)
+            return;
     }
 }
 
@@ -491,7 +503,8 @@ ServeServer::handleConnection(util::Socket sock)
     }
 
     // Scope guard: deregister the fd *before* the socket closes so the
-    // shutdown broadcast can never touch a recycled descriptor.
+    // shutdown broadcast can never touch a recycled descriptor, and
+    // hand this thread to whoever joins finished handlers next.
     struct Deregister
     {
         ServeServer *server;
@@ -501,7 +514,13 @@ ServeServer::handleConnection(util::Socket sock)
             std::lock_guard<std::mutex> lock(server->connMu_);
             auto &fds = server->liveFds_;
             fds.erase(std::find(fds.begin(), fds.end(), fd));
-            --server->liveConnections_;
+            auto &live = server->connThreads_;
+            auto self = std::find_if(
+                live.begin(), live.end(), [](const std::thread &t) {
+                    return t.get_id() == std::this_thread::get_id();
+                });
+            server->finishedThreads_.push_back(std::move(*self));
+            live.erase(self);
             server->connDone_.notify_all();
         }
     } deregister{ this, sock.fd() };

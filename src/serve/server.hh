@@ -16,10 +16,10 @@
  * admission slot (backpressure: when the queue is full the handler
  * blocks, the client's socket fills, and the client's send blocks — no
  * unbounded buffering anywhere), then streams the request's FASTQ
- * through the mount's StreamingMapper (tryRun()), whose chunks take
- * turns on the pool inside ParallelMapper::mapAll(). Requests on one
+ * through the mount's StreamingMapper (tryRun()), whose chunks go to
+ * the pool through ParallelMapper::mapAll(). Requests on one
  * connection are handled strictly in order; admitted requests on
- * different connections share the pool chunk by chunk. Mapping itself
+ * different connections share the pool block by block. Mapping itself
  * is bit-identical to gpx_map over the same pairs — the golden corpus
  * digest is pinned by tests/test_serve.cc.
  *
@@ -125,7 +125,10 @@ struct ServeCounters
     u64 ioFaults = 0;         ///< server-side I/O failures serving requests
     u64 indexSwaps = 0;       ///< epochs published by REFRESH/SIGHUP
     u64 swapsRejected = 0;    ///< refresh attempts that failed validation
-    double mapSeconds = 0;  ///< summed pool occupancy of MAP requests
+    /** Summed pool time of MAP requests: each chunk's job from its
+     *  submission to the end of its last block, so it includes any
+     *  wait behind other requests' blocks (see RunTiming). */
+    double mapSeconds = 0;
     /** Summed spine stalls across requests: time the mapping stage
      *  waited for parsed input vs for emission backpressure. */
     double readerStallSeconds = 0;
@@ -291,8 +294,10 @@ class ServeServer
 
     mutable std::mutex connMu_;
     std::condition_variable connDone_;
+    /** Handlers still running; each moves itself to finishedThreads_
+     *  on exit, and the accept loop or waitUntilDrained() joins it. */
     std::vector<std::thread> connThreads_;
-    u32 liveConnections_ = 0;
+    std::vector<std::thread> finishedThreads_;
     /** Raw fds of live connections, for shutdown wake-up. */
     std::vector<int> liveFds_;
 

@@ -125,10 +125,11 @@ TEST_F(DriverTest, PoolPersistsAcrossMapAllCalls)
 
 TEST_F(DriverTest, ConcurrentMapAllCallsEachMatchACallMadeAlone)
 {
-    // mapAll() is the one thread-safe way onto the pool: each caller
-    // owns the workers from the stats reset through the stats merge,
-    // so no call sees another's mappings or counters. Inputs of three
-    // sizes make a leaked or lost counter show in every field.
+    // mapAll() is safe from any thread: concurrent calls share the
+    // pool block by block, and each job's counters go to its own
+    // per-slot sink, so no call sees another's mappings or counters.
+    // Inputs of three sizes make a leaked or lost counter show in
+    // every field.
     DriverConfig cfg;
     cfg.threads = 2;
     ParallelMapper mapper(ref_, *map_, cfg);

@@ -685,6 +685,41 @@ TEST_F(ServeGoldenTest, ClientKilledMidReply)
     EXPECT_EQ(mapCorpus(client, 64), kGoldenSamMd5);
 }
 
+/** Lines of /proc/self/maps (0 where there is no such file). */
+std::size_t
+mappingLines()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST_F(ServeGoldenTest, FinishedConnectionThreadsAreJoined)
+{
+    // A handler thread that has finished but was never joined keeps
+    // its stack mapping and guard page: two /proc/self/maps lines and
+    // about 8 MiB of address space per past connection, until a
+    // long-lived daemon runs out of mappings. Finished handlers are
+    // joined as the daemon goes on accepting, so sequential
+    // connections leave the mapping count flat.
+    startServer();
+    auto helloAndClose = [&](int connections) {
+        for (int i = 0; i < connections; ++i)
+            connect();
+    };
+    helloAndClose(20); // settle the thread-stack cache and arenas
+    const std::size_t before = mappingLines();
+    if (before == 0)
+        GTEST_SKIP() << "no /proc/self/maps on this platform";
+    helloAndClose(200);
+    const std::size_t after = mappingLines();
+    EXPECT_LT(after, before + 50)
+        << "200 connections grew /proc/self/maps from " << before
+        << " to " << after << " lines";
+}
+
 TEST_F(ServeGoldenTest, ShutdownFrameDrainsServer)
 {
     startServer();
