@@ -1,6 +1,7 @@
 # End-to-end smoke of the four CLIs, invoked by the smoke_tools_pipeline
 # CTest entry: simulate a small dataset, build an index image, map the
-# pairs through the streaming driver, then score the SAM against truth.
+# pairs through the streaming driver, then score the SAM against truth;
+# then the same for the MM2-lite baseline (--baseline).
 # Any non-zero exit fails the test.
 #
 # Required -D variables: GPX_SIMULATE GPX_INDEX GPX_MAP GPX_MAPEVAL WORK_DIR
@@ -44,6 +45,20 @@ foreach(key pairs_total light_aligned stages light_align fallback
         message(FATAL_ERROR "stats.json is missing key '${key}'")
     endif()
 endforeach()
+
+# The MM2-lite baseline over the same pairs: it must map them as well
+# and account for every pair in its --stats-json.
+run_step(${GPX_MAP} --ref ${WORK_DIR}/sim.fa --index ${WORK_DIR}/sim.gpx
+    --r1 ${WORK_DIR}/sim_1.fq --r2 ${WORK_DIR}/sim_2.fq
+    --out ${WORK_DIR}/baseline.sam --threads 2 --baseline
+    --stats-json ${WORK_DIR}/baseline_stats.json)
+run_step(${GPX_MAPEVAL} --ref ${WORK_DIR}/sim.fa
+    --sam ${WORK_DIR}/baseline.sam --truth ${WORK_DIR}/sim.truth.tsv
+    --min-correct 90)
+file(READ ${WORK_DIR}/baseline_stats.json BASELINE_JSON)
+if(NOT BASELINE_JSON MATCHES "\"pairs_total\": 1000[,\n]")
+    message(FATAL_ERROR "baseline stats.json does not count 1000 pairs")
+endif()
 
 # --trace must produce a parseable gpx-stage-trace with one record per
 # mapped pair (1000 simulated pairs + the 2-line header).

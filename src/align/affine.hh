@@ -130,18 +130,20 @@ struct BatchAlignScratch
  * equal query length advance in lockstep through one band sweep (16
  * lanes under AVX2, 32 under AVX-512; per-lane masking covers ragged
  * target lengths and bands). The active util::SimdBackend picks the lane
- * width. The scalar backend, any group whose score bound does not fit
- * i16 (m + widest window > 990 under the sr preset) and any group whose
- * lane-major traceback would pass the 2^27-byte matrix cap run the
- * scalar fitAlign per task, over-cap tasks included.
+ * width. The scalar backend, a group of one task (one active lane is
+ * slower than the scalar engine and writes L tracebacks), any group
+ * whose score bound does not fit i16 (m + widest window > 990 under the
+ * sr preset) and any group whose lane-major traceback would pass the
+ * 2^27-byte matrix cap run the scalar fitAlign per task, over-cap tasks
+ * included.
  */
 void fitAlignBatch(const FitTask *tasks, std::size_t count,
                    const genomics::ScoringScheme &scheme,
                    BatchAlignScratch &scratch, AlignResult *out);
 
 /**
- * Global alignment: both sequences consumed end to end. Used by unit tests
- * and by the chain-gap stitching of the long-read path.
+ * Global alignment: both sequences consumed end to end. No mapping path
+ * calls it or localAlign(); only the unit tests do (test_affine).
  */
 AlignResult globalAlign(const genomics::DnaView &query,
                         const genomics::DnaView &target,

@@ -51,7 +51,10 @@
  *    under AVX-512, 16 per ymm sweep under AVX2. A partial group runs
  *    the full-width kernel: sending AVX-512 groups of at most 16 tasks
  *    to the ymm kernel instead measured slower end to end
- *    (EXPERIMENTS.md, "One DP sweep per fallback batch").
+ *    (EXPERIMENTS.md, "One DP sweep per fallback batch"). A group of
+ *    one runs the scalar engine: one active lane sweeps slower than
+ *    fitAlign() and writes an L-times larger traceback (7.4 MB for a
+ *    395 bp long-read tail chunk under AVX-512, against 236 KB).
  */
 
 #include <algorithm>
@@ -568,7 +571,7 @@ fitAlignBatch(const FitTask *tasks, std::size_t count,
             stepCost > 0 &&
             static_cast<i64>(m + nMax + 2) * stepCost < (i64{ 1 } << 15) &&
             (m + 1) * (nMax + 1) * lanes <= kMaxDpCells;
-        if (backend != util::SimdBackend::Scalar && fitsI16) {
+        if (backend != util::SimdBackend::Scalar && fitsI16 && cnt > 1) {
             if (backend == util::SimdBackend::Avx512)
                 fitGroup<Zmm>(tasks + i, cnt, nMax, stepCost, scheme,
                               scratch, out + i);
@@ -579,7 +582,8 @@ fitAlignBatch(const FitTask *tasks, std::size_t count,
             continue;
         }
 #endif
-        // Scalar backend, or a group outside the i16 bound.
+        // Scalar backend, a lone task, or a group outside the i16
+        // bound.
         for (; i < g; ++i)
             out[i] = fitAlign(tasks[i].query, tasks[i].target, scheme,
                               tasks[i].band, scratch.scalar);

@@ -1,7 +1,6 @@
 #include "baseline/mm2lite.hh"
 
 #include <algorithm>
-#include <tuple>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -102,23 +101,6 @@ Mm2Lite::planRead(const Read &read, std::vector<Chain> &chains)
         chains.resize(params_.maxCandidates);
 }
 
-bool
-Mm2Lite::windowTask(const DnaSequence &query, GlobalPos pos, u32 slack,
-                    align::FitTask &task, GlobalPos &wstart) const
-{
-    u64 wlen = 0;
-    std::tie(wstart, wlen) = clampWindow(ref_, pos, query.size(), slack);
-    if (wlen < query.size())
-        return false;
-    task.query = query;
-    task.target = ref_.windowView(wstart, wlen);
-    // Band: the window only extends slack around the expected
-    // diagonal, so a band of slack + indel headroom is lossless for any
-    // alignment the window can contain.
-    task.band = static_cast<i32>(2 * slack + 32);
-    return true;
-}
-
 std::vector<Mapping>
 Mm2Lite::finishRead(std::vector<Mapping> &mappings)
 {
@@ -141,66 +123,30 @@ Mm2Lite::finishRead(std::vector<Mapping> &mappings)
     return unique;
 }
 
-std::vector<Mapping>
-Mm2Lite::mapRead(const Read &read)
-{
-    std::vector<Chain> chains;
-    planRead(read, chains);
-
-    std::vector<Mapping> mappings;
-    {
-        util::StageTimers::Scope scope(timers_, stages::kAlignment);
-        DnaSequence rc;
-        bool haveRc = false;
-        for (const auto &chain : chains) {
-            const DnaSequence *query = &read.seq;
-            if (chain.reverse) {
-                if (!haveRc) {
-                    rc = read.seq.revComp();
-                    haveRc = true;
-                }
-                query = &rc;
-            }
-            align::FitTask task;
-            GlobalPos wstart = 0;
-            if (!windowTask(*query, chainStart(chain), params_.alignSlack,
-                            task, wstart))
-                continue;
-            Mapping m = alignAtResult(
-                align::fitAlign(task.query, task.target, params_.scoring,
-                                task.band, alignScratch_),
-                wstart);
-            if (!m.mapped)
-                continue;
-            m.reverse = chain.reverse;
-            mappings.push_back(std::move(m));
-        }
-    }
-
-    return finishRead(mappings);
-}
-
 Mapping
 Mm2Lite::alignAt(const DnaSequence &read, GlobalPos pos, u32 slack)
 {
-    util::StageTimers::Scope scope(timers_, stages::kAlignment);
     align::FitTask task;
-    GlobalPos wstart = 0;
-    if (!windowTask(read, pos, slack, task, wstart))
-        return {};
-    return alignAtResult(align::fitAlign(task.query, task.target,
-                                         params_.scoring, task.band,
-                                         alignScratch_),
-                         wstart);
+    const GlobalPos wstart = alignAtTask(read, pos, slack, task);
+    align::AlignResult res;
+    alignTasks(&task, 1, &res);
+    return alignAtResult(std::move(res), wstart);
 }
 
 GlobalPos
 Mm2Lite::alignAtTask(const DnaSequence &read, GlobalPos pos, u32 slack,
                      align::FitTask &task) const
 {
-    GlobalPos wstart = 0;
-    if (!windowTask(read, pos, slack, task, wstart))
-        task = align::FitTask{};
+    const auto [wstart, wlen] = clampWindow(ref_, pos, read.size(), slack);
+    task = align::FitTask{};
+    if (wlen < read.size())
+        return wstart;
+    task.query = read;
+    task.target = ref_.windowView(wstart, wlen);
+    // Band: the window only extends slack around the expected
+    // diagonal, so a band of slack + indel headroom is lossless for any
+    // alignment the window can contain.
+    task.band = static_cast<i32>(2 * slack + 32);
     return wstart;
 }
 
@@ -271,9 +217,22 @@ Mm2Lite::pairFromCandidates(const std::vector<Mapping> &cands1,
 PairMapping
 Mm2Lite::mapPair(const ReadPair &pair)
 {
-    auto cands1 = mapRead(pair.first);
-    auto cands2 = mapRead(pair.second);
-    return pairFromCandidates(cands1, cands2);
+    PairMapping out;
+    mapPairs(&pair, 1, &out);
+    return out;
+}
+
+void
+Mm2Lite::mapPairs(const ReadPair *pairs, std::size_t count, PairMapping *out)
+{
+    blockPairs_.clear();
+    for (std::size_t p = 0; p < count; ++p)
+        blockPairs_.push_back(&pairs[p]);
+    blockTasks_.clear();
+    planPairs(blockPairs_.data(), count, blockTasks_);
+    blockResults_.resize(blockTasks_.size());
+    alignTasks(blockTasks_.data(), blockTasks_.size(), blockResults_.data());
+    finishPairs(blockResults_.data(), out);
 }
 
 void
@@ -281,7 +240,7 @@ Mm2Lite::planPairs(const ReadPair *const *pairs, std::size_t count,
                    std::vector<align::FitTask> &tasks)
 {
     // Reads are 2 per pair, planned as [2 * p + side]; the slots list
-    // every chain window in the order mapRead() would align them.
+    // every chain window in read order, each read's chains best first.
     plannedPairs_ = count;
     if (plannedReads_.size() < 2 * count)
         plannedReads_.resize(2 * count);
@@ -313,9 +272,9 @@ Mm2Lite::planPairs(const ReadPair *const *pairs, std::size_t count,
                 query = &pr.rc;
             }
             align::FitTask task;
-            GlobalPos wstart = 0;
-            if (!windowTask(*query, chainStart(chain), params_.alignSlack,
-                            task, wstart))
+            const GlobalPos wstart = alignAtTask(
+                *query, chainStart(chain), params_.alignSlack, task);
+            if (task.target.size() == 0)
                 continue;
             PlannedSlot slot{ r, ci, 0, wstart, task.target.size() };
             // Two chains of one read and strand with the same expected

@@ -7,6 +7,10 @@
  *  - the traditional DP pipeline that GenPair falls back to when SeedMap
  *    or the Paired-Adjacency filter fails (Fig. 10, left fallback arrows),
  *  - the per-stage timing source for the Fig. 1 execution-time breakdown.
+ *
+ * Every alignment it runs goes through one batched DP sweep
+ * (alignTasks()): a block's chain windows after seeding and chaining,
+ * or windows at known positions (alignAt()).
  */
 
 #ifndef GPX_BASELINE_MM2LITE_HH
@@ -67,25 +71,27 @@ class Mm2Lite
     Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
             std::shared_ptr<const MinimizerIndex> index);
 
-    /** Map a single read; returns candidate mappings sorted by score. */
-    std::vector<genomics::Mapping> mapRead(const genomics::Read &read);
-
-    /** Map a pair with the FR orientation / insert-size constraint. */
+    /** Map a pair (FR orientation, bounded insert): mapPairs() of one. */
     genomics::PairMapping mapPair(const genomics::ReadPair &pair);
 
     /**
-     * Full DP for a block of pairs, split around one DP sweep so the
-     * block's other alignments can share it. planPairs() seeds and
-     * chains both reads of each of @p count pairs and appends to
-     * @p tasks one FitTask per distinct chain window (read, strand,
-     * window, band) in mapPair()'s visit order; chains that share a
-     * window share its task. The caller aligns the tasks, usually
-     * inside one align::fitAlignBatch() run with other work (see
-     * alignTasks()), and hands finishPairs() their results in the same
-     * order: out[p] then equals mapPair(*pairs[p]) and dpWork()
-     * advances exactly as those calls would (a shared window's cells
-     * count once per chain). The pairs, and the plan, must stay alive
-     * until finishPairs(); the next planPairs() replaces the plan.
+     * Map @p count contiguous pairs into @p out: planPairs(), one
+     * alignTasks() sweep, finishPairs(). How a caller splits its pairs
+     * into blocks changes no mapping and no counter.
+     */
+    void mapPairs(const genomics::ReadPair *pairs, std::size_t count,
+                  genomics::PairMapping *out);
+
+    /**
+     * mapPairs() split around the sweep so a caller's other alignments
+     * can share it. planPairs() seeds and chains both reads of each
+     * pair and appends to @p tasks one FitTask per distinct chain
+     * window (read, strand, window, band); chains that share a window
+     * share its task. finishPairs() takes the tasks' results in the
+     * same order and writes each pair's mapping; dpWork() counts a
+     * shared window's cells once per chain. The pairs and the plan must
+     * stay alive until finishPairs(); the next planPairs() replaces
+     * the plan.
      */
     void planPairs(const genomics::ReadPair *const *pairs,
                    std::size_t count, std::vector<align::FitTask> &tasks);
@@ -93,12 +99,11 @@ class Mm2Lite
                      genomics::PairMapping *out);
 
     /**
-     * Align a read at a known candidate position (the "DP-Alignment"
-     * fallback entry of Fig. 10 that bypasses seeding and chaining).
-     *
-     * @param read Read to align (already in forward orientation).
-     * @param pos Expected start of the alignment on the reference.
-     * @param slack Window slack on both sides.
+     * Align @p read (forward orientation) in a window of @p slack on
+     * both sides of the expected start @p pos: the "DP-Alignment"
+     * fallback entry of Fig. 10, which bypasses seeding and chaining.
+     * A task of one through alignAtTask(), alignTasks() and
+     * alignAtResult().
      */
     genomics::Mapping alignAt(const genomics::DnaSequence &read,
                               GlobalPos pos, u32 slack);
@@ -121,7 +126,7 @@ class Mm2Lite
     /**
      * fitAlignBatch() with this engine's scoring and lane-major
      * scratch, charged to the alignment timer: out[t] is bit-identical
-     * to fitAlign() of tasks[t].
+     * to fitAlign() of tasks[t]. The only place Mm2Lite aligns.
      */
     void alignTasks(const align::FitTask *tasks, std::size_t count,
                     align::AlignResult *out);
@@ -145,7 +150,7 @@ class Mm2Lite
         bool haveRc = false;
         std::vector<genomics::Mapping> mappings;
     };
-    /** One chain window of a planned read, in mapPair()'s visit order. */
+    /** One chain window of a planned read, in planPairs() order. */
     struct PlannedSlot
     {
         u32 read;  ///< index into plannedReads_
@@ -158,9 +163,6 @@ class Mm2Lite
     void collectAnchors(const genomics::Read &read);
     void planRead(const genomics::Read &read,
                   std::vector<align::Chain> &chains);
-    bool windowTask(const genomics::DnaSequence &query, GlobalPos pos,
-                    u32 slack, align::FitTask &task,
-                    GlobalPos &wstart) const;
     std::vector<genomics::Mapping>
     finishRead(std::vector<genomics::Mapping> &mappings);
     genomics::PairMapping
@@ -173,12 +175,10 @@ class Mm2Lite
     util::StageTimers timers_;
     DpWork dpWork_;
     /**
-     * DP working set reused across every alignment this engine runs
-     * (drivers keep one Mm2Lite per worker, so the fallback path of a
-     * whole batch shares one allocation).
+     * Working set of every alignment this engine runs, lane-major for
+     * the SIMD sweep plus the scalar one (drivers keep one Mm2Lite per
+     * worker, so a worker's alignments share one allocation).
      */
-    align::AlignScratch alignScratch_;
-    /** Lane-major working set of the interleaved batch DP engine. */
     align::BatchAlignScratch batchScratch_;
     /** Seeding and chaining working set, reused across reads. */
     std::vector<Minimizer> minimizers_;
@@ -189,6 +189,10 @@ class Mm2Lite
     std::vector<PlannedRead> plannedReads_;
     std::vector<PlannedSlot> plannedSlots_;
     std::size_t plannedPairs_ = 0;
+    /** mapPairs()' work lists, reused across blocks. */
+    std::vector<const genomics::ReadPair *> blockPairs_;
+    std::vector<align::FitTask> blockTasks_;
+    std::vector<align::AlignResult> blockResults_;
 };
 
 } // namespace baseline

@@ -75,8 +75,14 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
                                       trace ? trace + begin : nullptr);
                 slotStats[ctx.slot] += ctx.pipeline.stats();
             } else {
+                // MM2-lite end to end: one DP sweep per block, and
+                // every pair a full-DP pair.
+                ctx.fallback.mapPairs(in + begin, end - begin,
+                                      out + begin);
+                PipelineStats &st = slotStats[ctx.slot];
+                st.pairsTotal += end - begin;
                 for (u64 i = begin; i < end; ++i)
-                    out[i] = ctx.fallback.mapPair(in[i]);
+                    st.countFullDp(out[i]);
             }
         });
     for (const auto &stats : slotStats)

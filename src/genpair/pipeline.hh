@@ -138,6 +138,23 @@ struct PipelineStats
     }
 
     /**
+     * Count one pair the full DP pipeline mapped end to end (a full-DP
+     * pair of the fallback stage, or any pair of an MM2-lite-only run):
+     * either mate mapped counts in fullDpMapped, neither in unmapped.
+     * Returns whether the pair counted as mapped.
+     */
+    bool
+    countFullDp(const genomics::PairMapping &pm)
+    {
+        if (pm.first.mapped || pm.second.mapped) {
+            ++fullDpMapped;
+            return true;
+        }
+        ++unmapped;
+        return false;
+    }
+
+    /**
      * Machine-readable form: every counter above plus the per-stage
      * visit counters, as one JSON object (gpx_map --stats-json).
      */

@@ -469,12 +469,8 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
         PairMapping &pm = batch.out[fl.fullDp[k]];
         pm = std::move(fl.fullDpOut[k]);
         pm.path = MappingPath::FullDpFallback;
-        if (pm.bothMapped() || pm.first.mapped || pm.second.mapped) {
-            ++ctx.stats.fullDpMapped;
+        if (ctx.stats.countFullDp(pm))
             ++sc.itemsOut;
-        } else {
-            ++ctx.stats.unmapped;
-        }
     }
 
     // Exit-3 selection replay, per pair in candidate-visit order.

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "baseline/mm2lite.hh"
+#include "mm2_oracle.hh"
 #include "simdata/datasets.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
@@ -266,42 +267,54 @@ class Mm2LiteTest : public ::testing::Test
         mapper_ = std::make_unique<Mm2Lite>(ref_, Mm2LiteParams{});
     }
 
+    /**
+     * @p read as read 1 of a proper FR pair: read 2 is the 150 bases
+     * at @p mate_pos, on the strand opposite to @p read's.
+     */
+    genomics::ReadPair
+    withMate(const DnaSequence &read, bool read_reverse, u64 mate_pos) const
+    {
+        genomics::ReadPair pair;
+        pair.first.seq = read;
+        pair.second.seq = ref_.chromosome(0).sub(mate_pos, 150);
+        if (!read_reverse)
+            pair.second.seq = pair.second.seq.revComp();
+        return pair;
+    }
+
     Reference ref_;
     std::unique_ptr<Mm2Lite> mapper_;
 };
 
 TEST_F(Mm2LiteTest, MapsExactForwardRead)
 {
-    genomics::Read read;
-    read.seq = ref_.chromosome(0).sub(12345, 150);
-    auto mappings = mapper_->mapRead(read);
-    ASSERT_FALSE(mappings.empty());
-    EXPECT_EQ(mappings[0].pos, 12345u);
-    EXPECT_FALSE(mappings[0].reverse);
-    EXPECT_EQ(mappings[0].score, 300);
+    auto pm = mapper_->mapPair(withMate(ref_.chromosome(0).sub(12345, 150),
+                                        false, 12345 + 250));
+    ASSERT_TRUE(pm.first.mapped);
+    EXPECT_EQ(pm.first.pos, 12345u);
+    EXPECT_FALSE(pm.first.reverse);
+    EXPECT_EQ(pm.first.score, 300);
 }
 
 TEST_F(Mm2LiteTest, MapsExactReverseRead)
 {
-    genomics::Read read;
-    read.seq = ref_.chromosome(0).sub(54321, 150).revComp();
-    auto mappings = mapper_->mapRead(read);
-    ASSERT_FALSE(mappings.empty());
-    EXPECT_EQ(mappings[0].pos, 54321u);
-    EXPECT_TRUE(mappings[0].reverse);
+    auto pm = mapper_->mapPair(
+        withMate(ref_.chromosome(0).sub(54321, 150).revComp(), true,
+                 54321 - 250));
+    ASSERT_TRUE(pm.first.mapped);
+    EXPECT_EQ(pm.first.pos, 54321u);
+    EXPECT_TRUE(pm.first.reverse);
 }
 
 TEST_F(Mm2LiteTest, MapsReadWithEdits)
 {
-    genomics::Read read;
     DnaSequence seq = ref_.chromosome(0).sub(33000, 150);
     seq.set(30, (seq.at(30) + 1) & 3u);
     seq.set(90, (seq.at(90) + 1) & 3u);
-    read.seq = seq;
-    auto mappings = mapper_->mapRead(read);
-    ASSERT_FALSE(mappings.empty());
-    EXPECT_EQ(mappings[0].pos, 33000u);
-    EXPECT_EQ(mappings[0].score, 280);
+    auto pm = mapper_->mapPair(withMate(seq, false, 33000 + 250));
+    ASSERT_TRUE(pm.first.mapped);
+    EXPECT_EQ(pm.first.pos, 33000u);
+    EXPECT_EQ(pm.first.score, 280);
 }
 
 TEST_F(Mm2LiteTest, AlignAtRecoversPosition)
@@ -328,18 +341,16 @@ TEST_F(Mm2LiteTest, PairsProperFrOrientation)
 
 TEST_F(Mm2LiteTest, StageTimersPopulated)
 {
-    genomics::Read read;
-    read.seq = ref_.chromosome(0).sub(12345, 150);
-    mapper_->mapRead(read);
+    mapper_->mapPair(
+        withMate(ref_.chromosome(0).sub(12345, 150), false, 12345 + 250));
     EXPECT_GT(mapper_->timers().total(), 0.0);
     EXPECT_GT(mapper_->timers().seconds(baseline::stages::kSeeding), 0.0);
 }
 
 TEST_F(Mm2LiteTest, DpWorkCounted)
 {
-    genomics::Read read;
-    read.seq = ref_.chromosome(0).sub(12345, 150);
-    mapper_->mapRead(read);
+    mapper_->mapPair(
+        withMate(ref_.chromosome(0).sub(12345, 150), false, 12345 + 250));
     EXPECT_GT(mapper_->dpWork().alignCells, 0u);
 }
 
@@ -388,8 +399,12 @@ TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
         pairs.push_back(std::move(pair));
     }
 
-    Mm2Lite single(ref, Mm2LiteParams{});
+    // The reference is the frozen per-chain path, one scalar fitAlign
+    // per chain; the batched engine must match it as one block and as
+    // blocks of one (mapPair()).
+    gpx::testing::PerChainMm2 oracle(ref);
     Mm2Lite batched(ref, Mm2LiteParams{});
+    Mm2Lite single(ref, Mm2LiteParams{});
     std::vector<const genomics::ReadPair *> ptrs;
     for (const auto &p : pairs)
         ptrs.push_back(&p);
@@ -401,13 +416,18 @@ TEST(Mm2LiteTandemRepeat, BatchMatchesPerPairCallsWhereChainsShareWindows)
     batched.finishPairs(results.data(), got.data());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         SCOPED_TRACE("pair " + std::to_string(i));
-        const genomics::PairMapping want = single.mapPair(pairs[i]);
-        EXPECT_EQ(want.path, got[i].path);
-        expectSameMapping(want.first, got[i].first);
-        expectSameMapping(want.second, got[i].second);
+        const genomics::PairMapping want = oracle.mapPair(pairs[i]);
+        for (const genomics::PairMapping &pm :
+             { got[i], single.mapPair(pairs[i]) }) {
+            EXPECT_EQ(want.path, pm.path);
+            expectSameMapping(want.first, pm.first);
+            expectSameMapping(want.second, pm.second);
+        }
     }
-    EXPECT_EQ(single.dpWork().alignCells, batched.dpWork().alignCells);
-    EXPECT_EQ(single.dpWork().chainCells, batched.dpWork().chainCells);
+    EXPECT_EQ(oracle.dpWork().alignCells, batched.dpWork().alignCells);
+    EXPECT_EQ(oracle.dpWork().chainCells, batched.dpWork().chainCells);
+    EXPECT_EQ(oracle.dpWork().alignCells, single.dpWork().alignCells);
+    EXPECT_EQ(oracle.dpWork().chainCells, single.dpWork().chainCells);
     // Shared windows were aligned once: the distinct tasks hold fewer
     // cells than the per-chain count.
     u64 alignedCells = 0;

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "genpair/driver.hh"
+#include "mm2_oracle.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 
@@ -230,16 +231,44 @@ TEST_F(DriverTest, StatsAggregateToInputSize)
 
 TEST_F(DriverTest, PureMm2ConfigurationRuns)
 {
-    DriverConfig cfg;
-    cfg.threads = 4;
-    cfg.useGenPair = false; // MM2-lite end to end
-    auto res = ParallelMapper(ref_, *map_, cfg).mapAll(pairs_);
-    u32 mapped = 0;
-    for (const auto &pm : res.mappings)
-        mapped += pm.bothMapped();
-    EXPECT_GT(mapped, pairs_.size() * 8 / 10);
-    // The GenPair pipeline never ran.
-    EXPECT_EQ(res.stats.lightAligned, 0u);
+    // MM2-lite end to end maps each block in one DP sweep; every field
+    // must equal the frozen per-chain path, pair by pair.
+    gpx::testing::PerChainMm2 oracle(ref_);
+    std::vector<genomics::PairMapping> want;
+    for (const auto &pair : pairs_)
+        want.push_back(oracle.mapPair(pair));
+
+    for (u32 threads : { 1u, 4u }) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        DriverConfig cfg;
+        cfg.threads = threads;
+        cfg.useGenPair = false;
+        auto res = ParallelMapper(ref_, *map_, cfg).mapAll(pairs_);
+        ASSERT_EQ(res.mappings.size(), pairs_.size());
+        u32 mapped = 0;
+        for (std::size_t i = 0; i < pairs_.size(); ++i) {
+            const genomics::PairMapping &got = res.mappings[i];
+            mapped += got.bothMapped();
+            EXPECT_EQ(got.path, want[i].path) << i;
+            for (const auto &[g, w] :
+                 { std::pair{ &got.first, &want[i].first },
+                   std::pair{ &got.second, &want[i].second } }) {
+                EXPECT_EQ(g->mapped, w->mapped) << i;
+                EXPECT_EQ(g->pos, w->pos) << i;
+                EXPECT_EQ(g->reverse, w->reverse) << i;
+                EXPECT_EQ(g->score, w->score) << i;
+                EXPECT_EQ(g->cigar.toString(), w->cigar.toString()) << i;
+            }
+        }
+        EXPECT_GT(mapped, pairs_.size() * 8 / 10);
+        // The GenPair pipeline never ran; every pair is a full-DP
+        // pair, mapped when either mate is.
+        EXPECT_EQ(res.stats.lightAligned, 0u);
+        EXPECT_EQ(res.stats.pairsTotal, pairs_.size());
+        EXPECT_EQ(res.stats.fullDpMapped + res.stats.unmapped,
+                  res.stats.pairsTotal);
+        EXPECT_GE(res.stats.fullDpMapped, mapped);
+    }
 }
 
 TEST_F(DriverTest, ZeroThreadsUsesHardwareConcurrency)

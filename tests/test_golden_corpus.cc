@@ -41,6 +41,13 @@ using genomics::Reference;
 /** Pinned digest of header + all records over the golden corpus. */
 const char kGoldenSamMd5[] = "6e4b292bd35bc3babd6ffd733c44612f";
 
+/**
+ * The same digest for the MM2-lite baseline (`gpx_map --baseline`,
+ * DriverConfig::useGenPair = false): every baseline driver must
+ * reproduce it too.
+ */
+const char kGoldenBaselineSamMd5[] = "b1f7214ea2481d9b39ea058c59fdc41a";
+
 const char *
 goldenDir()
 {
@@ -187,6 +194,42 @@ TEST_F(GoldenCorpusTest, StreamingDriverReproducesPinnedDigest)
         EXPECT_GT(result.chunks, 1u);
     });
     EXPECT_EQ(digest, kGoldenSamMd5);
+}
+
+TEST_F(GoldenCorpusTest, BaselineDriversReproducePinnedDigest)
+{
+    genpair::DriverConfig config = config_;
+    config.useGenPair = false;
+    EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                  baseline::Mm2Lite mapper(ref_, config.fallback);
+                  for (const auto &pair : pairs_)
+                      sam.writePair(pair, mapper.mapPair(pair));
+              }),
+              kGoldenBaselineSamMd5)
+        << "serial Mm2Lite::mapPair";
+
+    config.threads = 3;
+    EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                  genpair::ParallelMapper mapper(ref_, *map_, config);
+                  auto result = mapper.mapAll(pairs_);
+                  for (std::size_t i = 0; i < pairs_.size(); ++i)
+                      sam.writePair(pairs_[i], result.mappings[i]);
+              }),
+              kGoldenBaselineSamMd5)
+        << "ParallelMapper";
+
+    std::string dir = goldenDir();
+    config.threads = 2;
+    EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                  std::ifstream r1(dir + "/r1.fq"), r2(dir + "/r2.fq");
+                  ASSERT_TRUE(r1 && r2);
+                  genpair::StreamingMapper mapper(ref_, *map_, config, 64);
+                  auto result = mapper.run(r1, r2, sam);
+                  EXPECT_EQ(result.pairs, pairs_.size());
+                  EXPECT_GT(result.chunks, 1u);
+              }),
+              kGoldenBaselineSamMd5)
+        << "StreamingMapper";
 }
 
 TEST_F(GoldenCorpusTest, IoThreadSweepReproducesPinnedDigest)

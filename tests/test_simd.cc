@@ -236,7 +236,8 @@ TEST(Simd, FitAlignBatchMatchesScalar)
 {
     // Each batch opens with a run of `run` tasks of one query length,
     // run = 1..80, so lane groups of every size occur: full 32- and
-    // 16-lane groups and every tail from 1 to 31. Two run shapes in
+    // 16-lane groups and every tail from 1 to 31 (a tail of one, like
+    // each lone trailing task, runs the scalar engine). Two run shapes in
     // four are the production ones: 150 bp reads in 246 bp windows
     // with band 128 (full DP, slack 48) and in 198 bp windows with
     // band 80 (DP at candidates, slack 24). A few trailing tasks of
@@ -359,6 +360,35 @@ TEST(Simd, FitAlignBatchRangeEdges)
             EXPECT_FALSE(res.valid);
             EXPECT_EQ(res.cellUpdates, 0u);
         }
+    });
+}
+
+TEST(Simd, FitAlignBatchRunsALoneTaskOnTheScalarEngine)
+{
+    // A group of one shares its sweep with no lane, so it runs the
+    // scalar engine even inside the i16 bound: a long read's tail chunk
+    // (aligned one task at a time, 395 bp in a window of about 575 bp)
+    // must not grow the lane-major traceback to L matrices. Two such
+    // tasks do share a sweep.
+    const genomics::ScoringScheme sc = genomics::ScoringScheme::shortRead();
+    forEachBackend([&sc] {
+        util::Pcg32 rng(6151);
+        std::vector<DnaSequence> qs, ts;
+        for (u32 k = 0; k < 2; ++k) {
+            qs.push_back(randomSeq(rng, 395));
+            ts.push_back(fitTarget(rng, qs.back(), true, 90, 0));
+            ASSERT_LE(qs.back().size() + ts.back().size(), 990u);
+        }
+        align::BatchAlignScratch bscr;
+        const std::vector<align::FitTask> lone{ { qs[0], ts[0], 232 } };
+        expectBatchMatchesScalar(lone, sc, bscr, "lone");
+        EXPECT_TRUE(bscr.traceback.empty());
+
+        const std::vector<align::FitTask> two{ { qs[0], ts[0], 232 },
+                                               { qs[1], ts[1], 232 } };
+        expectBatchMatchesScalar(two, sc, bscr, "two");
+        EXPECT_EQ(bscr.traceback.empty(),
+                  util::activeSimdBackend() == SimdBackend::Scalar);
     });
 }
 

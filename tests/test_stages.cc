@@ -16,6 +16,7 @@
 #include "baseline/mm2lite.hh"
 #include "genpair/pipeline.hh"
 #include "genpair/stages.hh"
+#include "mm2_oracle.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 #include "test_gates.hh"
@@ -305,10 +306,11 @@ TEST_F(StageGraphTest, OneDpSweepMatchesScalarFallbackCallsInTheOldOrder)
     genpair::runPaFilterStage(ctx, batch);
     genpair::runLightAlignStage(ctx, batch);
 
-    // The per-pair path on a second engine: mapPair() for exits 1-2;
-    // for exit 3, alignAt() on each budgeted candidate's left window,
-    // then on its right window only where the left passed.
-    baseline::Mm2Lite scalar(ref_, baseline::Mm2LiteParams{});
+    // The per-pair path on the frozen per-chain oracle: mapPair() for
+    // exits 1-2; for exit 3, alignAt() on each budgeted candidate's
+    // left window, then on its right window only where the left
+    // passed, one scalar fitAlign() per window.
+    gpx::testing::PerChainMm2 scalar(ref_);
     std::vector<genomics::PairMapping> want(pairs.size());
     u64 fullDp = 0, exit3 = 0, leftMisses = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
